@@ -417,6 +417,12 @@ def _point_theta(prior: Prior) -> np.ndarray:
     return prior.theta
 
 
+def _floats(v):
+    """A scalar as a float, an array (or nested list) as lists of floats."""
+    a = np.asarray(v, dtype=float)
+    return float(a) if a.ndim == 0 else a.tolist()
+
+
 def _build_design(d: dict):
     if d["kind"] == "block":
         return BlockDesign(np.array(d["blocks"], dtype=float), np.array(d["weights"], dtype=float))
@@ -627,7 +633,7 @@ def _task_closed_form(config, opts, seed):
         extra = {
             "rule": rule,
             "conditions": {k: bool(v) for k, v in td.conditions.items()},
-            "intermediates": {k: float(v) for k, v in td.intermediates.items()},
+            "intermediates": {k: _floats(v) for k, v in td.intermediates.items()},
         }
 
     eq_model = model if model is not None else td.model

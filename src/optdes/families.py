@@ -469,16 +469,3 @@ def weights_at(model: ModelSpec, theta, points) -> np.ndarray:
             model.link.kind, float(eta[i]), detail=f"design point index {i}"
         )
     return weight_from_eta(model.family, model.link, eta)
-
-
-def induced_point(model: ModelSpec, theta, x) -> np.ndarray:
-    """Weighted basis image z = sqrt(u(x)) f(x) of a design point.
-
-    Only defined for first-order bases, where the geometry of the induced
-    space characterizes the optimal designs.
-    """
-    if not model.basis.is_first_order():
-        raise UnsupportedModelError("induced points are defined for first-order bases only")
-    x = np.asarray(x, dtype=float)
-    u = glm_weight(model, theta, x)
-    return math.sqrt(u) * eval_basis(model.basis, x)

@@ -32,31 +32,22 @@ from .designs import (
     _lock,
     d_objective,
     psd_logdet,
-    support_bound,
 )
 from .errors import (
     DimensionError,
-    NumericalError,
     SingularDesignError,
     UnsupportedModelError,
     ValidationError,
 )
 from .families import (
+    DesignRegion,
     ModelSpec,
     assert_eta_admissible,
     eval_basis_many,
     inverse_link,
     mean_derivative,
 )
-from .optimize import (
-    ContinuousOptOptions,
-    _nm,
-    box_decode,
-    box_encode,
-    stick_decode,
-    stick_encode,
-)
-from .priors import STREAM_STARTS, rng_for
+from .optimize import ContinuousOptOptions, OptimizeResult, _Atoms, _optimize_atoms
 
 BLOCK_METHODS = ("ql", "mql", "gee")
 
@@ -125,13 +116,18 @@ class BlockDesign:
 
     def canonical(self) -> "BlockDesign":
         """Rows sorted within each block, then blocks sorted, weights carried."""
-        B = np.array(self.blocks)
-        for b in range(B.shape[0]):
-            order = np.lexsort(B[b].T[::-1])
-            B[b] = B[b][order]
+        B = _sort_slots(self.blocks)
         flat = B.reshape(B.shape[0], -1)
         order = np.lexsort(flat.T[::-1])
         return BlockDesign(B[order], np.array(self.weights)[order])
+
+
+def _sort_slots(B: np.ndarray) -> np.ndarray:
+    """Copy of a (t, m, k) block stack with each block's runs sorted."""
+    B = np.array(B)
+    for b in range(B.shape[0]):
+        B[b] = B[b][np.lexsort(B[b].T[::-1])]
+    return B
 
 
 def _check_method(model: RandomInterceptModel, method: str) -> None:
@@ -299,12 +295,70 @@ def block_equivalence_check(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BlockOptResult:
-    design: BlockDesign
-    objective: float
-    report: EquivalenceReport
-    is_optimal: bool
+class _BlockAtoms(_Atoms):
+    """Blocks as atoms: a block is a row of m*k coordinates (its m runs in
+    turn) and contributes M(zeta) under the one parameter vector."""
+
+    def __init__(self, model: RandomInterceptModel, theta, method: str, gee_alpha: float):
+        bounds = model.base.region.bounds
+        if any(math.isinf(lo) for lo, _ in bounds):
+            raise ValidationError("block optimization needs a bounded region")
+        self.model = model
+        self.theta = theta
+        self.method = method
+        self.gee_alpha = gee_alpha
+        self.p, self.k = model.p, model.m * model.k
+        self.tw = np.ones(1)
+        self.min_atoms = math.ceil(model.p / model.m)
+        self.region = DesignRegion(bounds * model.m)
+
+    def _blocks(self, X: np.ndarray) -> np.ndarray:
+        return X.reshape(-1, self.model.m, self.model.k)
+
+    def eval(self, X: np.ndarray) -> np.ndarray:
+        Ms = block_info_batch(self._blocks(X), self.model, self.theta, self.method, self.gee_alpha)
+        return Ms[None]
+
+    def take(self, Ms: np.ndarray, idx) -> np.ndarray:
+        return Ms[:, idx]
+
+    def admissible(self, Ms: np.ndarray) -> np.ndarray:
+        return np.isfinite(Ms).all(axis=(0, 2, 3))
+
+    def info_stack(self, Ms: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.einsum("snij,n->sij", Ms, w)
+
+    def variances(self, Ms: np.ndarray, Minv: np.ndarray) -> np.ndarray:
+        return np.einsum("snij,sji->sn", Ms, Minv)
+
+    def search_box(self, opts) -> tuple[np.ndarray, np.ndarray]:
+        lo = np.array([b[0] for b in self.region.bounds])
+        return lo, np.array([b[1] for b in self.region.bounds]) - lo
+
+    def candidates(self, opts) -> np.ndarray:
+        grid = _block_grid(self.model, max(0.05, opts.merge_radius * 10))
+        return grid.reshape(grid.shape[0], self.k)
+
+    def unit_draws(self, rng: np.random.Generator):
+        # uniform, not Sobol: importing scipy.stats for Sobol raises a
+        # block-only process's peak memory by about 20 MB
+        return lambda n: rng.random((n, self.k))
+
+    def canonical(self, X: np.ndarray) -> np.ndarray:
+        return _sort_slots(self._blocks(X)).reshape(X.shape)
+
+    def design(self, X: np.ndarray, w: np.ndarray) -> BlockDesign:
+        return BlockDesign(self._blocks(X), w).canonical()
+
+    def objective(self, design: BlockDesign) -> float:
+        return block_objective(design, self.model, self.theta, self.method, self.gee_alpha)
+
+    def certify(self, design: BlockDesign, opts, tol: float) -> EquivalenceReport:
+        return block_equivalence_check(
+            design, self.model, self.theta, self.method,
+            grid_step=opts.grid.step if opts.grid is not None else 0.02,
+            tol=tol, gee_alpha=self.gee_alpha,
+        )
 
 
 def optimize_block_design(
@@ -313,199 +367,20 @@ def optimize_block_design(
     method: str,
     options: ContinuousOptOptions | None = None,
     gee_alpha: float = 0.5,
-) -> BlockOptResult:
+) -> OptimizeResult:
     """D-optimal measure over blocks, certified on the block lattice.
 
-    Uses the same stack as the pointwise optimizer: a multiplicative warm
-    start on a coarse block lattice locates the support, then Nelder-Mead in
-    the angle parameterization polishes block coordinates and weights.
+    Blocks are the atoms of the continuous optimizer in optdes.optimize: the
+    support schedule starts at ceil(p/m) blocks, a vertex-direction pass on a
+    coarse block lattice warm-starts the Nelder-Mead polish of block
+    coordinates and weights, blocks that coincide up to run order are merged,
+    and each candidate is certified by block_equivalence_check (lattice step
+    options.grid.step, default 0.02).  The result's design is a BlockDesign.
     """
     _check_method(model, method)
-    opts = options or ContinuousOptOptions()
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    p, m, k = model.p, model.m, model.k
-    for lo, hi in model.base.region.bounds:
-        if math.isinf(lo):
-            raise ValidationError("block optimization needs a bounded region")
-    lo = np.array([b[0] for b in model.base.region.bounds] * m)
-    hi = np.array([b[1] for b in model.base.region.bounds] * m)
-    span = hi - lo
-
-    def info_of(Zflat: np.ndarray) -> np.ndarray:
-        return block_info_batch(
-            Zflat.reshape(-1, m, k), model, theta, method, gee_alpha
-        )
-
-    def objective(Zflat: np.ndarray, w: np.ndarray) -> float:
-        Ms = info_of(Zflat)
-        M = np.einsum("n,nij->ij", w, Ms)
-        ld = psd_logdet(M)
-        return math.inf if ld is None else -ld
-
-    # multiplicative warm start on a coarse lattice of blocks
-    warm_blocks, warm_w = None, None
-    try:
-        Zg = _block_grid(model, max(0.05, opts.merge_radius * 10))
-        Mg = block_info_batch(Zg, model, theta, method, gee_alpha)
-        w = np.full(Zg.shape[0], 1.0 / Zg.shape[0])
-        for _ in range(3000):
-            M = np.einsum("n,nij->ij", w, Mg)
-            if psd_logdet(M) is None:
-                break
-            Minv = np.linalg.inv(M)
-            d = np.einsum("nij,ji->n", Mg, Minv)
-            if d.max() / p - 1.0 < 1e-9:
-                break
-            w = w * d / p
-            w /= w.sum()
-        keep = w > 1e-4
-        if keep.sum() >= 1:
-            warm_blocks = Zg[keep]
-            warm_w = w[keep] / w[keep].sum()
-    except (NumericalError, np.linalg.LinAlgError):
-        pass
-
-    t_lo = opts.t_min if opts.t_min is not None else max(1, math.ceil(p / m))
-    t_hi = opts.t_max if opts.t_max is not None else support_bound(p)
-    if not (1 <= t_lo <= t_hi):
-        raise ValidationError("bad block support schedule")
-    tol = opts.tol if opts.tol is not None else 1e-3 * p
-    grid_step = (opts.grid.step if opts.grid is not None else None) or 0.02
-
-    def refine_block_weights(Zflat, w0):
-        Ms = info_of(Zflat)
-        w = np.maximum(np.asarray(w0, dtype=float), 1e-300)
-        w /= w.sum()
-        obj = objective(Zflat, w)
-        if math.isinf(obj):
-            return w0, math.inf
-        for _ in range(600):
-            M = np.einsum("n,nij->ij", w, Ms)
-            ld = psd_logdet(M)
-            if ld is None:
-                break
-            Minv = np.linalg.inv(M)
-            d = np.einsum("nij,ji->n", Ms, Minv)
-            if d.max() / p - 1.0 < 1e-12:
-                break
-            new_w = w * d / p
-            new_w /= new_w.sum()
-            new_obj = objective(Zflat, new_w)
-            if not new_obj < obj:
-                break
-            w, obj = new_w, new_obj
-        return w, obj
-
-    best = (math.inf, None, None)
-    best_report = None
-    for t in range(t_lo, t_hi + 1):
-        dim = t * m * k
-
-        def fun(z):
-            Z = box_decode(z[:dim].reshape(t, m * k), lo, span)
-            w = stick_decode(z[dim:])
-            return objective(Z, w)
-
-        t_best = (math.inf, None, None)
-        for s_idx in range(opts.multistarts):
-            if s_idx == 0 and warm_blocks is not None:
-                order = np.argsort(warm_w)[::-1]
-                Z0 = warm_blocks[order][:t].reshape(-1, m * k)
-                w0 = warm_w[order][:t]
-                if Z0.shape[0] < t:
-                    rng = rng_for(opts.seed, STREAM_STARTS, t, s_idx)
-                    extra = t - Z0.shape[0]
-                    Z0 = np.vstack([Z0, lo + span * rng.random((extra, m * k))])
-                    w0 = np.concatenate([w0, np.full(extra, max(w0.min(), 1e-3))])
-                w0 = w0 / w0.sum()
-            else:
-                rng = rng_for(opts.seed, STREAM_STARTS, t, s_idx)
-                Z0 = lo + span * rng.random((t, m * k))
-                w0 = 0.1 + rng.random(t)
-                w0 /= w0.sum()
-            z = np.concatenate([box_encode(Z0, lo, span).ravel(), stick_encode(w0)])
-            obj = fun(z)
-            for _ in range(1 + opts.restarts):
-                z_new, obj_new = _nm(fun, z, opts.max_evals)
-                if obj_new < obj:
-                    z, obj = z_new, obj_new
-                Zc = box_decode(z[:dim].reshape(t, m * k), lo, span)
-                wc = stick_decode(z[dim:])
-                w_ref, obj_ref = refine_block_weights(Zc, wc)
-                if obj_ref < obj:
-                    z = np.concatenate([z[:dim], stick_encode(w_ref)])
-                    gain = obj - obj_ref
-                    obj = obj_ref
-                else:
-                    gain = 0.0
-                if gain < 1e-11:
-                    break
-            if obj < t_best[0]:
-                t_best = (obj, box_decode(z[:dim].reshape(t, m * k), lo, span),
-                          stick_decode(z[dim:]))
-        if t_best[1] is None:
-            continue
-        _, Z, w = t_best
-        design = _prune_blocks(Z.reshape(t, m, k), w, model, opts)
-        w_ref, _ = refine_block_weights(design.blocks.reshape(design.t, -1),
-                                        design.weights)
-        design = BlockDesign(design.blocks, w_ref / w_ref.sum()).canonical()
-        obj = block_objective(design, model, theta, method, gee_alpha)
-        if math.isinf(obj):
-            continue
-        report = block_equivalence_check(
-            design, model, theta, method, grid_step=grid_step, tol=tol,
-            gee_alpha=gee_alpha,
-        )
-        if obj < best[0]:
-            best = (obj, design, report)
-        if report.is_optimal:
-            return BlockOptResult(design, obj, report, True)
-    if best[1] is None:
-        raise NumericalError("no nonsingular block design found")
-    return BlockOptResult(best[1], best[0], best[2], False)
-
-
-def _prune_blocks(Z, w, model: RandomInterceptModel, opts) -> BlockDesign:
-    """Canonicalize slot order, merge near-identical blocks, drop dust."""
-    t, m, k = Z.shape
-    Z = np.array(Z)
-    for b in range(t):
-        order = np.lexsort(Z[b].T[::-1])
-        Z[b] = Z[b][order]
-    span = np.array([b[1] - b[0] for b in model.base.region.bounds] * m)
-    flat = Z.reshape(t, m * k) / span
-    w = np.asarray(w, dtype=float).copy()
-    parent = list(range(t))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(t):
-        for j in range(i + 1, t):
-            if np.linalg.norm(flat[i] - flat[j]) <= opts.merge_radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(t):
-        groups.setdefault(find(i), []).append(i)
-    out_Z, out_w = [], []
-    for idxs in groups.values():
-        ww = w[idxs]
-        tot = ww.sum()
-        out_Z.append((Z[idxs] * ww[:, None, None]).sum(axis=0) / tot)
-        out_w.append(tot)
-    Z2 = np.array(out_Z)
-    w2 = np.array(out_w)
-    keep = w2 >= opts.weight_floor
-    if not np.any(keep):
-        keep = w2 == w2.max()
-    Z2, w2 = Z2[keep], w2[keep]
-    return BlockDesign(Z2, w2 / w2.sum()).canonical()
+    atoms = _BlockAtoms(model, theta, method, gee_alpha)
+    return _optimize_atoms(atoms, options or ContinuousOptOptions())
 
 
 # ------------------------------------------------- exact binary block information

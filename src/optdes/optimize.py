@@ -1,10 +1,15 @@
 """Design optimizers.
 
-Three layers share one engine:
+One continuous optimizer runs over design atoms.  An atom is a design point,
+contributing u(x) f(x) f(x)', or a block of m runs (optdes.glmm), contributing
+the block information M(zeta); a design is a weighted measure over atoms and
+the same equivalence theorem certifies it.  Each atom kind supplies its
+per-atom information and certificate (see _Atoms), and the shared engine has
+three layers:
 
 * a multiplicative reweighting step that is exact on a fixed support,
-* a vertex-direction pass (add the point of largest averaged variance with a
-  decaying step) used to locate support cheaply and as a warm start,
+* a vertex-direction pass (add the candidate atom of largest averaged
+  variance with a decaying step) used as a warm start,
 * Nelder-Mead polishing in a smooth reparameterization: coordinates move
   through x = lo + span * sin^2(phi) and weights through a stick-breaking
   chain of squared sines, so the search space is unconstrained.
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -95,15 +100,61 @@ def box_encode(x: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------------ atom pool
 
-class _PointAtoms:
-    """Evaluates basis rows and weights for a stack of parameter draws."""
+def _neg_logdet(tw: np.ndarray, Ms: np.ndarray) -> float:
+    """Draw-averaged -log det of an (S, p, p) stack; +inf unless every
+    determinant is positive and finite."""
+    sign, ld = np.linalg.slogdet(Ms)
+    if not (np.all(sign > 0) and np.all(np.isfinite(ld))):
+        return math.inf
+    return float(-(tw @ ld))
+
+
+class _Atoms:
+    """One kind of design atom under S parameter draws.
+
+    An atom is a row of k coordinates.  A kind sets p, k, tw (draw weights),
+    min_atoms (the smallest support that can be nonsingular) and region (the
+    box pruning scales distances by), and implements:
+
+    * eval(X): per-atom data for the rows of X; take(data, idx) selects atoms
+      from it and admissible(data) flags atoms with finite information;
+    * info_stack(data, w): the (S, p, p) information of the weighted atoms;
+    * variances(data, Minv): (S, n) values tr(I_s(x) M_s^{-1});
+    * search_box(opts), candidates(opts): the polish box as (lo, span) and
+      the candidate atoms of the warm start; unit_draws(rng): a sampler
+      n -> (n, k) points in the unit cube for the spread-out starts;
+    * canonical(X), design(X, w): a canonical coordinate order per atom and
+      the design object for pruned atoms;
+    * objective(design), certify(design, opts, tol): the reported
+      -log det and the equivalence check.
+    """
+
+    def canonical(self, X: np.ndarray) -> np.ndarray:
+        return X
+
+    def unit_draws(self, rng: np.random.Generator):
+        from scipy.stats import qmc
+
+        return qmc.Sobol(d=self.k, scramble=True, seed=rng).random
+
+    def mean_objective(self, X: np.ndarray, w: np.ndarray) -> float:
+        data = self.eval(X)
+        if not self.admissible(data).all():
+            return math.inf
+        return _neg_logdet(self.tw, self.info_stack(data, w))
+
+
+class _PointAtoms(_Atoms):
+    """Design points: x contributes u(x) f(x) f(x)' under each draw."""
 
     def __init__(self, model: ModelSpec, thetas: np.ndarray, tw: np.ndarray):
         self.model = model
         self.thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         tw = np.asarray(tw, dtype=float).reshape(-1)
         self.tw = tw / tw.sum()
-        self.p = model.p
+        self.p, self.k = model.p, model.k
+        self.min_atoms = model.p
+        self.region = model.region
 
     def eval(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         F = eval_basis_many(self.model.basis, X)
@@ -111,20 +162,31 @@ class _PointAtoms:
         U = weight_from_eta(self.model.family, self.model.link, eta).T
         return F, np.atleast_2d(U)
 
-    def info_stack(self, F: np.ndarray, U: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def take(self, data, idx):
+        F, U = data
+        return F[idx], U[:, idx]
+
+    def admissible(self, data) -> np.ndarray:
+        return np.isfinite(data[1]).all(axis=0)
+
+    def info_stack(self, data, w: np.ndarray) -> np.ndarray:
+        F, U = data
         return np.einsum("sn,ni,nj->sij", U * w, F, F)
 
-    def mean_objective(self, X: np.ndarray, w: np.ndarray) -> float:
-        F, U = self.eval(X)
-        if not np.all(np.isfinite(U)):
-            return math.inf
-        Ms = self.info_stack(F, U, w)
-        sign, ld = np.linalg.slogdet(Ms)
-        if not (np.all(sign > 0) and np.all(np.isfinite(ld))):
-            return math.inf
-        return float(-(self.tw @ ld))
+    def variances(self, data, Minv: np.ndarray) -> np.ndarray:
+        F, U = data
+        return U * np.einsum("sni,ni->sn", F @ Minv, F)
 
-    def canonical_objective(self, design) -> float:
+    def search_box(self, opts) -> tuple[np.ndarray, np.ndarray]:
+        return _search_box(self.model, self.thetas, opts.grid or GridSpec())
+
+    def candidates(self, opts) -> np.ndarray:
+        return build_eval_grid(self.model, self.thetas, opts.grid or GridSpec())
+
+    def design(self, X: np.ndarray, w: np.ndarray) -> ContinuousDesign:
+        return ContinuousDesign(X, w)
+
+    def objective(self, design) -> float:
         """Average -log det through the strict elimination path."""
         acc = 0.0
         for th, wt in zip(self.thetas, self.tw):
@@ -133,6 +195,11 @@ class _PointAtoms:
                 return math.inf
             acc += wt * val
         return acc
+
+    def certify(self, design, opts, tol: float) -> EquivalenceReport:
+        return equivalence_scan(
+            design, self.model, self.thetas, self.tw, grid=opts.grid or GridSpec(), tol=tol
+        )
 
 
 def _search_box(model: ModelSpec, thetas, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -152,15 +219,15 @@ def _search_box(model: ModelSpec, thetas, grid: GridSpec) -> tuple[np.ndarray, n
 # --------------------------------------------------- multiplicative reweighting
 
 def refine_weights(
-    atoms: _PointAtoms, X: np.ndarray, w0: np.ndarray, iters: int = 600, tol: float = 1e-12
+    atoms: _Atoms, X: np.ndarray, w0: np.ndarray, iters: int = 600, tol: float = 1e-12
 ) -> tuple[np.ndarray, float]:
     """Fixed-support weight optimization by the w <- w * (dbar/p) rule.
 
     Monotone for the averaged log determinant; a halving guard keeps it safe
     near machine precision.
     """
-    F, U = atoms.eval(X)
-    if not np.all(np.isfinite(U)):
+    data = atoms.eval(X)
+    if not atoms.admissible(data).all():
         return w0, math.inf
     w = np.asarray(w0, dtype=float).copy()
     w = np.maximum(w, 1e-300)
@@ -168,19 +235,14 @@ def refine_weights(
     p = atoms.p
 
     def objective(wv):
-        Ms = atoms.info_stack(F, U, wv)
-        sign, ld = np.linalg.slogdet(Ms)
-        if not (np.all(sign > 0) and np.all(np.isfinite(ld))):
-            return math.inf, None
-        return float(-(atoms.tw @ ld)), Ms
+        Ms = atoms.info_stack(data, wv)
+        return _neg_logdet(atoms.tw, Ms), Ms
 
     obj, Ms = objective(w)
     if math.isinf(obj):
         return w0, math.inf
     for _ in range(iters):
-        Minv = np.linalg.inv(Ms)
-        q = np.einsum("ni,sij,nj->sn", F, Minv, F)
-        dbar = atoms.tw @ (U * q)
+        dbar = atoms.tw @ atoms.variances(data, np.linalg.inv(Ms))
         if float(np.max(dbar)) / p - 1.0 < tol:
             break
         step = dbar / p
@@ -200,46 +262,37 @@ def refine_weights(
 
 # ------------------------------------------------------------- vertex direction
 
-@dataclass(frozen=True, eq=False)
-class WynnFedorovResult:
-    design: ContinuousDesign
-    objective: float
-    n_iters: int
-    min_psi: float
-    converged: bool
+# steps of the vertex-direction warm start
+WF_ITERS = 600
 
 
-def _wf_core(
-    atoms: _PointAtoms,
-    grid_pts: np.ndarray,
-    max_iters: int,
-    tol: float,
-    log_progress: bool = False,
-) -> tuple[np.ndarray, np.ndarray, float, int, float, bool]:
-    model = atoms.model
-    p = model.p
-    Fg, Ug = atoms.eval(grid_pts)
-    finite = np.all(np.isfinite(Ug), axis=0)
-    grid_pts, Fg, Ug = grid_pts[finite], Fg[finite], Ug[:, finite]
-    if grid_pts.shape[0] < p:
+def _wf_core(atoms: _Atoms, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex-direction search with step 1/(s+1+p) over candidate atoms.
+
+    Starts from p+1 spread-out atoms in the candidates' bounding box and
+    returns the incumbent best support and weights, not the last iterate.
+    """
+    p = atoms.p
+    data = atoms.eval(cand)
+    ok = atoms.admissible(data)
+    cand, data = cand[ok], atoms.take(data, ok)
+    if cand.shape[0] < p:
         raise NumericalError("candidate grid too small after dropping inadmissible points")
 
-    from scipy.stats import qmc
-
-    sob = qmc.Sobol(d=model.k, scramble=True, seed=rng_for(0, STREAM_LOWDISC))
-    lo = grid_pts.min(axis=0)
-    hi = grid_pts.max(axis=0)
+    draw = atoms.unit_draws(rng_for(0, STREAM_LOWDISC))
+    lo = cand.min(axis=0)
+    hi = cand.max(axis=0)
     n_draw = 1 << max(int(math.ceil(math.log2(p + 1))), 0)
+    w0 = np.full(p + 1, 1.0 / (p + 1))
     pts = None
     for _ in range(32):
-        raw = lo + (hi - lo) * sob.random(n_draw)[: p + 1]
-        F0, U0 = atoms.eval(raw)
-        if not np.all(np.isfinite(U0)):
+        raw = lo + (hi - lo) * draw(n_draw)[: p + 1]
+        data0 = atoms.eval(raw)
+        if not atoms.admissible(data0).all():
             continue
-        w0 = np.full(p + 1, 1.0 / (p + 1))
-        Ms = atoms.info_stack(F0, U0, w0)
-        sign, ld = np.linalg.slogdet(Ms)
-        if np.all(sign > 0) and np.all(np.isfinite(ld)):
+        Ms = atoms.info_stack(data0, w0)
+        best_obj = _neg_logdet(atoms.tw, Ms)
+        if math.isfinite(best_obj):
             pts = raw
             break
     if pts is None:
@@ -247,87 +300,33 @@ def _wf_core(
 
     sup_pts = [row.copy() for row in pts]
     sup_w = list(w0)
-    by_grid: dict[int, int] = {}
-
-    best_obj = float(-(atoms.tw @ ld))
+    by_cand: dict[int, int] = {}
     best_pts = np.array(sup_pts)
     best_w = np.array(sup_w)
-    min_psi = -math.inf
-    converged = False
-    it = 0
-    for it in range(max_iters):
-        Minv = np.linalg.inv(Ms)
-        d = np.zeros(grid_pts.shape[0])
-        for s in range(atoms.thetas.shape[0]):
-            G = Fg @ Minv[s]
-            d += atoms.tw[s] * Ug[s] * np.einsum("ni,ni->n", G, Fg)
+    one = np.ones(1)
+    for it in range(WF_ITERS):
+        d = atoms.tw @ atoms.variances(data, np.linalg.inv(Ms))
         j = int(np.argmax(d))
-        min_psi = p - float(d[j])
-        if min_psi >= -tol:
-            converged = True
+        if p - float(d[j]) >= -0.02 * p:
             break
         alpha = 1.0 / (it + 1 + p)
         for i in range(len(sup_w)):
             sup_w[i] *= 1.0 - alpha
-        if j in by_grid:
-            sup_w[by_grid[j]] += alpha
+        if j in by_cand:
+            sup_w[by_cand[j]] += alpha
         else:
-            by_grid[j] = len(sup_pts)
-            sup_pts.append(grid_pts[j].copy())
+            by_cand[j] = len(sup_pts)
+            sup_pts.append(cand[j].copy())
             sup_w.append(alpha)
-        fj = Fg[j]
-        Ms = (1.0 - alpha) * Ms + alpha * Ug[:, j][:, None, None] * np.outer(fj, fj)[None, :, :]
-        sign, ld = np.linalg.slogdet(Ms)
-        if not (np.all(sign > 0) and np.all(np.isfinite(ld))):
+        Ms = (1.0 - alpha) * Ms + alpha * atoms.info_stack(atoms.take(data, [j]), one)
+        obj = _neg_logdet(atoms.tw, Ms)
+        if math.isinf(obj):
             break
-        obj = float(-(atoms.tw @ ld))
         if obj < best_obj - 1e-15:
             best_obj = obj
             best_pts = np.array(sup_pts)
             best_w = np.array(sup_w)
-            _log(log_progress, f"[vertex-direction] iter={it} objective={obj:.9f}")
-    return best_pts, best_w, best_obj, it, min_psi, converged
-
-
-def wynn_fedorov(
-    model: ModelSpec,
-    theta,
-    region=None,
-    grid: GridSpec | None = None,
-    max_iters: int = 5000,
-    tol: float | None = None,
-    log_progress: bool = False,
-) -> WynnFedorovResult:
-    """Vertex-direction search with step 1/(s+1+p) over a candidate grid.
-
-    Returns the incumbent best design (pruned), not necessarily the final
-    iterate.  Converges slowly but never diverges; intended for warm starts
-    and as a reference method.
-    """
-    if region is not None:
-        model = replace(model, region=region)
-    grid = grid or GridSpec()
-    if tol is None:
-        tol = default_tol(model.p)
-    thetas = np.atleast_2d(np.asarray(theta, dtype=float))
-    tw = np.full(thetas.shape[0], 1.0 / thetas.shape[0])
-    atoms = _PointAtoms(model, thetas, tw)
-    grid_pts = build_eval_grid(model, thetas, grid)
-    pts, w, _, it, min_psi, conv = _wf_core(atoms, grid_pts, max_iters, tol, log_progress)
-    w = np.asarray(w, dtype=float)
-    design = prune_design(
-        ContinuousDesign(pts, w / w.sum()),
-        region=model.region,
-        weight_floor=1e-5,
-        max_support=support_bound(model.p),
-    )
-    return WynnFedorovResult(
-        design=design,
-        objective=atoms.canonical_objective(design),
-        n_iters=it,
-        min_psi=float(min_psi),
-        converged=bool(conv),
-    )
+    return best_pts, best_w / best_w.sum()
 
 
 # --------------------------------------------------------- continuous optimizer
@@ -347,8 +346,6 @@ class ContinuousOptOptions:
     tol: float | None = None
     weight_floor: float = 1e-4
     merge_radius: float = 1e-3
-    wf_warm_start: bool = True
-    wf_iters: int = 600
     log_progress: bool = False
 
     def __post_init__(self):
@@ -358,6 +355,8 @@ class ContinuousOptOptions:
 
 @dataclass(frozen=True, eq=False)
 class OptimizeResult:
+    """design is a ContinuousDesign for points and a glmm.BlockDesign for blocks."""
+
     design: ContinuousDesign
     objective: float
     report: EquivalenceReport
@@ -381,7 +380,7 @@ def _nm(fun, z0: np.ndarray, max_evals: int) -> tuple[np.ndarray, float]:
 
 
 def _polish(atoms, lo, span, t, z0, opts) -> tuple[float, np.ndarray, np.ndarray]:
-    k = atoms.model.k
+    k = atoms.k
 
     def fun(z):
         X = box_decode(z[: t * k].reshape(t, k), lo, span)
@@ -413,7 +412,7 @@ def _polish(atoms, lo, span, t, z0, opts) -> tuple[float, np.ndarray, np.ndarray
 def _initial_state(
     atoms, lo, span, t, s_idx, opts, warm: tuple[np.ndarray, np.ndarray] | None
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    k = atoms.model.k
+    k = atoms.k
     if s_idx == 0 and warm is not None:
         wp, ww = warm
         order = np.argsort(ww)[::-1]
@@ -426,11 +425,9 @@ def _initial_state(
             w0 = np.concatenate([w0, np.full(extra, w0.min() if w0.size else 1.0)])
         return X0, w0 / w0.sum()
     if s_idx == 1:
-        from scipy.stats import qmc
-
-        sob = qmc.Sobol(d=k, scramble=True, seed=rng_for(opts.seed, STREAM_LOWDISC, t))
+        draw = atoms.unit_draws(rng_for(opts.seed, STREAM_LOWDISC, t))
         n_draw = 1 << max(int(math.ceil(math.log2(t))), 0)
-        X0 = lo + span * sob.random(n_draw)[:t]
+        X0 = lo + span * draw(n_draw)[:t]
         return X0, np.full(t, 1.0 / t)
     rng = rng_for(opts.seed, STREAM_STARTS, t, s_idx)
     for _ in range(32):
@@ -442,47 +439,25 @@ def _initial_state(
     return None
 
 
-def optimize_continuous(
-    model: ModelSpec, prior, options: ContinuousOptOptions | None = None
-) -> OptimizeResult:
-    """Find a D-optimal continuous design, certified by the equivalence check.
+def _optimize_atoms(atoms: _Atoms, opts: ContinuousOptOptions) -> OptimizeResult:
+    """The support-size schedule over one atom kind (see optimize_continuous).
 
-    The support-size schedule runs from t_min (default p) upward; at each size
-    the multistart polish stack runs and the best candidate is scanned.  The
-    first candidate passing the scan is returned with is_optimal True.  If no
-    size up to t_max passes, the best design found is returned with
-    is_optimal False (not an error).
+    At each size the best polished candidate is pruned, reweighted and
+    certified by the atom kind's own check.
     """
-    opts = options or ContinuousOptOptions()
-    ps = resolve_sample(prior, opts.sample)
-    thetas, tw = ps.draws, ps.weights
-    if thetas.shape[1] != model.p:
-        raise ValidationError(
-            f"prior dimension {thetas.shape[1]} does not match model p={model.p}"
-        )
-    p = model.p
-    cap = support_bound(p)
-    t_min = p if opts.t_min is None else int(opts.t_min)
+    cap = support_bound(atoms.p)
+    t_min = atoms.min_atoms if opts.t_min is None else int(opts.t_min)
     t_max = cap if opts.t_max is None else int(opts.t_max)
-    if not (p <= t_min <= t_max <= cap):
+    if not (atoms.min_atoms <= t_min <= t_max <= cap):
         raise ValidationError(
-            f"support schedule must satisfy p <= t_min <= t_max <= {cap}"
+            f"support schedule must satisfy {atoms.min_atoms} <= t_min <= t_max <= {cap}"
         )
-    grid_spec = opts.grid or GridSpec()
-    tol = opts.tol if opts.tol is not None else default_tol(p)
-    atoms = _PointAtoms(model, thetas, tw)
-    lo, span = _search_box(model, thetas, grid_spec)
-
-    warm = None
-    if opts.wf_warm_start:
-        try:
-            grid_pts = build_eval_grid(model, thetas, grid_spec)
-            wp, ww, _, _, _, _ = _wf_core(
-                atoms, grid_pts, opts.wf_iters, tol=0.02 * p, log_progress=False
-            )
-            warm = (np.asarray(wp), np.asarray(ww) / np.asarray(ww).sum())
-        except NumericalError:
-            warm = None
+    tol = opts.tol if opts.tol is not None else default_tol(atoms.p)
+    lo, span = atoms.search_box(opts)
+    try:
+        warm = _wf_core(atoms, atoms.candidates(opts))
+    except NumericalError:
+        warm = None
 
     best_obj = math.inf
     best_design = None
@@ -503,29 +478,27 @@ def optimize_continuous(
             continue
         _, X, w = t_best
         # the stick transform can pinch a weight to exactly zero; drop such
-        # points before handing the design to the pruner
+        # atoms before handing the design to the pruner
         alive = w > 0.0
-        if np.count_nonzero(alive) < p:
+        if np.count_nonzero(alive) < atoms.min_atoms:
             continue
-        X, w = X[alive], w[alive]
-        design = prune_design(
+        X, w = atoms.canonical(X[alive]), w[alive]
+        pruned = prune_design(
             ContinuousDesign(X, w / w.sum()),
-            region=model.region,
+            region=atoms.region,
             weight_floor=opts.weight_floor,
             merge_radius=opts.merge_radius,
             max_support=cap,
         )
-        w_ref, _ = refine_weights(atoms, design.points, design.weights)
+        w_ref, _ = refine_weights(atoms, pruned.points, pruned.weights)
         alive = w_ref > 0.0
-        if np.count_nonzero(alive) < p:
+        if np.count_nonzero(alive) < atoms.min_atoms:
             continue
-        design = ContinuousDesign(
-            design.points[alive], w_ref[alive] / w_ref[alive].sum()
-        )
-        obj = atoms.canonical_objective(design)
+        design = atoms.design(pruned.points[alive], w_ref[alive] / w_ref[alive].sum())
+        obj = atoms.objective(design)
         if math.isinf(obj):
             continue
-        report = equivalence_scan(design, model, thetas, tw, grid=grid_spec, tol=tol)
+        report = atoms.certify(design, opts, tol)
         _log(
             opts.log_progress,
             f"[optimize] t={t} objective={obj:.9f} min_psi={report.min_psi:.2e}",
@@ -537,6 +510,26 @@ def optimize_continuous(
     if best_design is None:
         raise NumericalError("no nonsingular design found at any support size")
     return OptimizeResult(best_design, best_obj, best_report, False, best_t)
+
+
+def optimize_continuous(
+    model: ModelSpec, prior, options: ContinuousOptOptions | None = None
+) -> OptimizeResult:
+    """Find a D-optimal continuous design, certified by the equivalence check.
+
+    The support-size schedule runs from t_min (default p) upward; at each size
+    the multistart polish stack runs and the best candidate is scanned.  The
+    first candidate passing the scan is returned with is_optimal True.  If no
+    size up to t_max passes, the best design found is returned with
+    is_optimal False (not an error).
+    """
+    opts = options or ContinuousOptOptions()
+    ps = resolve_sample(prior, opts.sample)
+    if ps.draws.shape[1] != model.p:
+        raise ValidationError(
+            f"prior dimension {ps.draws.shape[1]} does not match model p={model.p}"
+        )
+    return _optimize_atoms(_PointAtoms(model, ps.draws, ps.weights), opts)
 
 
 # -------------------------------------------------------------- exact designs
@@ -584,10 +577,9 @@ class ExactOptResult:
 def optimize_exact(model: ModelSpec, prior, options: ExactOptOptions) -> ExactOptResult:
     ps = resolve_sample(prior, options.sample)
     atoms = _PointAtoms(model, ps.draws, ps.weights)
-    if options.n * 1 < model.p:
+    if options.n < model.p:
         # n runs give at most n distinct information atoms
-        if options.n < model.p:
-            raise ValidationError(f"n={options.n} runs cannot estimate p={model.p} parameters")
+        raise ValidationError(f"n={options.n} runs cannot estimate p={model.p} parameters")
     if options.method == "grid_exchange":
         runs, details = _grid_exchange(atoms, options)
     else:
@@ -595,7 +587,7 @@ def optimize_exact(model: ModelSpec, prior, options: ExactOptOptions) -> ExactOp
     design = from_runs(runs)
     return ExactOptResult(
         design=design,
-        objective=atoms.canonical_objective(design),
+        objective=atoms.objective(design),
         method=options.method,
         details=details,
     )

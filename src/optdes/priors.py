@@ -21,17 +21,14 @@ from .designs import (
     d_efficiency,
     design_objective,
     equivalence_scan,
-    information_matrix,
-    psd_logdet,
 )
 from .errors import (
     DimensionError,
     NumericalError,
     PreconditionError,
-    SingularDesignError,
     ValidationError,
 )
-from .families import ModelSpec, eval_basis_many, weight_from_eta
+from .families import ModelSpec
 
 # stream tags (see module docstring)
 STREAM_PRIOR = 11
@@ -152,25 +149,30 @@ def _lhs_unit(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return u
 
 
+def _draw(prior: Prior, rng: np.random.Generator, n: int, method: str) -> np.ndarray:
+    """n draws from a uniform box or an explicit sample, taken from rng."""
+    if prior.kind == "uniform_box":
+        if method == "lhs":
+            unit = _lhs_unit(rng, n, prior.dim)
+        else:
+            unit = rng.random((n, prior.dim))
+        lo = prior.bounds[:, 0]
+        span = prior.bounds[:, 1] - prior.bounds[:, 0]
+        return lo + span * unit
+    # resample an explicit sample
+    if method == "lhs":
+        raise ValidationError("latin hypercube sampling needs a uniform box prior")
+    idx = rng.choice(prior.draws.shape[0], size=n, replace=True, p=prior.weights)
+    return prior.draws[idx]
+
+
 def sample_prior(prior: Prior, spec: SampleSpec) -> ParamSample:
     """Draw a reproducible sample from the prior."""
     if prior.kind == "point":
         return ParamSample(prior.theta[None, :], np.array([1.0]))
     rng = rng_for(spec.seed, STREAM_PRIOR)
-    n, dim = spec.n_draws, prior.dim
-    if prior.kind == "uniform_box":
-        if spec.method == "lhs":
-            unit = _lhs_unit(rng, n, dim)
-        else:
-            unit = rng.random((n, dim))
-        lo = prior.bounds[:, 0]
-        span = prior.bounds[:, 1] - prior.bounds[:, 0]
-        return ParamSample(lo + span * unit, np.full(n, 1.0 / n))
-    # resample an explicit sample
-    if spec.method == "lhs":
-        raise ValidationError("latin hypercube sampling needs a uniform box prior")
-    idx = rng.choice(prior.draws.shape[0], size=n, replace=True, p=prior.weights)
-    return ParamSample(prior.draws[idx], np.full(n, 1.0 / n))
+    n = spec.n_draws
+    return ParamSample(_draw(prior, rng, n, spec.method), np.full(n, 1.0 / n))
 
 
 def resolve_sample(prior, sample=None) -> ParamSample:
@@ -210,23 +212,6 @@ def bayes_objective(design, model: ModelSpec, prior, sample=None) -> float:
         if math.isinf(val):
             return math.inf
         acc += w * val
-    return acc
-
-
-def bayes_sensitivity(x, design, model: ModelSpec, prior, sample=None) -> float:
-    """Prior-averaged sensitivity at x."""
-    ps = resolve_sample(prior, sample)
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    F = eval_basis_many(model.basis, x)
-    acc = 0.0
-    for idx, (th, w) in enumerate(zip(ps.draws, ps.weights)):
-        M = information_matrix(design, model, th)
-        if psd_logdet(M) is None:
-            raise SingularDesignError(f"design is singular at parameter draw {idx}")
-        Minv = np.linalg.inv(M)
-        eta = float(F @ th)
-        u = float(weight_from_eta(model.family, model.link, eta))
-        acc += w * (model.p - u * float(F @ Minv @ F.T))
     return acc
 
 
@@ -318,28 +303,12 @@ def efficiency_distribution(
     if n_draws < 1:
         raise ValidationError("n_draws must be at least 1")
     rng = rng_for(seed, STREAM_PRIOR)
-    dim = prior.dim
-
-    def draw_batch(n):
-        if prior.kind == "uniform_box":
-            if method == "lhs":
-                unit = _lhs_unit(rng, n, dim)
-            else:
-                unit = rng.random((n, dim))
-            lo = prior.bounds[:, 0]
-            span = prior.bounds[:, 1] - prior.bounds[:, 0]
-            return lo + span * unit
-        if method == "lhs":
-            raise ValidationError("latin hypercube sampling needs a uniform box prior")
-        idx = rng.choice(prior.draws.shape[0], size=n, replace=True, p=prior.weights)
-        return prior.draws[idx]
-
     kept_draws, effs = [], []
     n_rejected = 0
     budget = 1000 * n_draws
     while len(effs) < n_draws:
         need = n_draws - len(effs)
-        batch = draw_batch(need)
+        batch = _draw(prior, rng, need, method)
         for th in batch:
             if isinstance(competitor, (ContinuousDesign,)) or hasattr(competitor, "reps"):
                 ref = competitor

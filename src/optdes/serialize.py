@@ -141,19 +141,6 @@ def ecdf_to_csv(efficiencies) -> str:
     return "\n".join(lines) + "\n"
 
 
-def draws_to_csv(draws, efficiencies) -> str:
-    """Per-draw table: draw index, the sampled parameters, the efficiency."""
-    draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    effs = np.asarray(efficiencies, dtype=float).reshape(-1)
-    p = draws.shape[1]
-    header = ["draw"] + [f"theta_{j + 1}" for j in range(p)] + ["efficiency"]
-    lines = [",".join(header)]
-    for i in range(draws.shape[0]):
-        vals = [str(i)] + [fmt_float(v) for v in draws[i]] + [fmt_float(effs[i])]
-        lines.append(",".join(vals))
-    return "\n".join(lines) + "\n"
-
-
 def block_design_to_csv(blocks, weights) -> str:
     """Rows (block_id, point_index, x_1..x_k, block_weight)."""
     B = np.asarray(blocks, dtype=float)
@@ -241,11 +228,3 @@ def design_from_jsonable(d: dict):
             np.array(d["points"], dtype=float), np.array(d["weights"], dtype=float)
         )
     raise ValidationError(f"unknown design kind {d.get('kind')!r}")
-
-
-def design_to_json(design, model: ModelSpec | None = None) -> str:
-    return canonical_json(design_to_jsonable(design, model))
-
-
-def design_from_json(text: str):
-    return design_from_jsonable(json.loads(text))

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from optdes.cli import CONFIG_SCHEMA, main
@@ -188,6 +189,53 @@ def test_closed_form_precondition_exits_4(tmp_path, capsys):
     assert main(["run", cfg]) == 4
     report = json.loads((tmp_path / "gam.report.json").read_text())
     assert report["closed_form"]["condition_satisfied"] is False
+
+
+POISSON_2D = {
+    "family": {"kind": "poisson"},
+    "link": {"kind": "log"},
+    "basis": {"k": 2, "order": 1},
+    "region": {"bounds": [[-1, 1], [-1, 1]]},
+}
+
+
+@pytest.mark.parametrize(
+    "rule, model, prior",
+    [
+        (
+            "factorial-bracket",
+            {
+                "family": {"kind": "binomial"},
+                "link": {"kind": "logistic"},
+                "basis": {"k": 2, "order": 1},
+                "region": {"bounds": [[-1, 1], None]},
+            },
+            {"kind": "point", "theta": [0.3, -0.8, 1.5]},
+        ),
+        ("poisson-step", POISSON_2D, {"kind": "point", "theta": [0.2, 2.0, -3.0]}),
+        (
+            "poisson-bayes-minimal",
+            POISSON_2D,
+            {"kind": "uniform_box", "bounds": [[0, 0], [1, 3], [-3, -1]]},
+        ),
+    ],
+)
+def test_closed_form_rules_with_list_intermediates(tmp_path, capsys, rule, model, prior):
+    cfg = _write_config(
+        tmp_path / "c.json",
+        {
+            "task": "closed-form",
+            "model": model,
+            "prior": prior,
+            "options": {"rule": rule},
+            "output": {"dir": str(tmp_path), "prefix": "cf"},
+        },
+    )
+    assert main(["run", cfg]) == 0
+    report = json.loads((tmp_path / "cf.report.json").read_text())
+    inter = report["closed_form"]["intermediates"]
+    assert any(isinstance(v, list) for v in inter.values())
+    assert all(np.all(np.isfinite(np.asarray(v, dtype=float))) for v in inter.values())
 
 
 def test_effdist_writes_ecdf(tmp_path, capsys):

@@ -21,6 +21,7 @@ from optdes.glmm import (
     mv_sensitivity,
     optimize_block_design,
 )
+from optdes.optimize import optimize_continuous
 
 
 def _poisson_quadratic():
@@ -234,6 +235,19 @@ def test_optimize_block_design_ql():
     i = nearest_row([0.10, 0.88], rows)
     assert np.allclose(rows[i], [0.0999, 0.8843], atol=2e-3)
     assert d.weights[i] == pytest.approx(0.5, abs=1e-3)
+
+
+def test_one_run_blocks_without_random_effect_match_points():
+    # m = 1, sigma2 = 0: a block is a point and M(zeta) = u f f'
+    base = _poisson_quadratic()
+    gm = RandomInterceptModel(base, sigma2=0.0, m=1)
+    blocks = optimize_block_design(gm, THETA, method="mql")
+    points = optimize_continuous(base, THETA)
+    assert blocks.is_optimal and points.is_optimal
+    assert blocks.objective == pytest.approx(points.objective, abs=1e-8)
+    assert blocks.design.t == points.design.t == 3
+    got = np.sort(blocks.design.blocks.reshape(-1))
+    assert np.allclose(got, np.sort(points.design.points.reshape(-1)), atol=1e-4)
 
 
 def test_block_equivalence_check_flags_bad_design():
