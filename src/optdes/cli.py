@@ -406,9 +406,7 @@ def _build_prior(d: dict, seed: int):
         if "n_draws" in d:
             spec = SampleSpec(int(d["n_draws"]), seed=seed, method=d.get("method", "iid"))
         return prior, spec
-    draws = np.array(d["draws"], dtype=float)
-    w = np.array(d["weights"], dtype=float) if "weights" in d else None
-    return Prior.from_sample(draws, w), None
+    return Prior.from_sample(d["draws"], d.get("weights")), None
 
 
 def _point_theta(prior: Prior) -> np.ndarray:

@@ -281,10 +281,14 @@ class GridSpec:
     window: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not (self.step > 0.0):
-            raise ValidationError("grid step must be positive")
+        if not (0.0 < self.step < math.inf):
+            raise ValidationError("grid step must be positive and finite")
         if self.n_qmc < 2 or self.refine_top < 1:
             raise ValidationError("bad grid spec")
+        if self.window is not None:
+            lo, hi = (float(v) for v in self.window)
+            if not (-math.inf < lo < hi < math.inf):
+                raise ValidationError(f"window ({lo}, {hi}) must be finite with lo < hi")
 
 
 @dataclass(frozen=True)

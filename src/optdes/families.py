@@ -292,6 +292,19 @@ def eval_basis_many(basis: ModelBasis, points) -> np.ndarray:
     return out
 
 
+def eval_basis_jacobian(basis: ModelBasis, points) -> np.ndarray:
+    """Derivatives df_i/dx_j of the basis rows at (n, k) points, shape (n, p, k)."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != basis.k:
+        raise DimensionError(f"points have shape {pts.shape}, basis expects (n, {basis.k})")
+    E = np.array(basis.terms)
+    out = np.empty((pts.shape[0], basis.p, basis.k))
+    for j in range(basis.k):
+        lowered = np.maximum(E - np.eye(basis.k, dtype=int)[j], 0)
+        out[:, :, j] = E[:, j] * np.prod(pts[:, None, :] ** lowered, axis=2)
+    return out
+
+
 def linear_predictor(model: ModelSpec, theta, points) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.p,):
@@ -450,6 +463,50 @@ def weight_from_eta(family: Family, link: LinkFunction, eta) -> np.ndarray:
             u = np.ones_like(eta)
     u = u / family.dispersion
     return float(u[0]) if scalar else u
+
+
+def weight_derivative(family: Family, link: LinkFunction, eta) -> np.ndarray:
+    """du/deta, NaN where eta is outside the link domain.
+
+    Written as u * dlog(u)/deta from the forms of weight_from_eta:
+      logistic        u (1 - 2 mu) = -u tanh(eta/2)
+      probit          u (-2 eta - phi/Phi(eta) + phi/Phi(-eta))
+      cloglog/loglog  u (2 - t - t/(e^t - 1)),  t = e^eta
+      poisson-log     u
+      gamma-boxcox    -2 lambda u / (1 + lambda eta)
+      gamma-power     -2 u / eta
+      otherwise       0
+    so the tails give 0 wherever u underflows to 0.
+    """
+    eta = np.asarray(eta, dtype=float)
+    scalar = eta.ndim == 0
+    eta = np.atleast_1d(eta).astype(float)
+    u = np.atleast_1d(weight_from_eta(family, link, eta))
+    fam, kind = family.kind, link.kind
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        if fam == "binomial":
+            if kind == "logistic":
+                g = -np.tanh(0.5 * eta)
+            elif kind == "probit":
+                log_pdf = -0.5 * eta * eta - 0.5 * math.log(2.0 * math.pi)
+                g = (
+                    -2.0 * eta
+                    - np.exp(log_pdf - special.log_ndtr(eta))
+                    + np.exp(log_pdf - special.log_ndtr(-eta))
+                )
+            else:
+                t = np.exp(eta)
+                g = 2.0 - t - np.where(t > 0.0, t / np.expm1(t), 1.0)
+            du = np.where(u > 0.0, u * g, 0.0)
+        elif fam == "poisson":
+            du = u
+        elif fam == "gamma" and kind == "boxcox" and link.shape != 0.0:
+            du = -2.0 * link.shape * u / (1.0 + link.shape * eta)
+        elif fam == "gamma" and kind == "power":
+            du = -2.0 * u / eta
+        else:  # gamma-log, gamma-boxcox at lambda = 0, normal: u is constant
+            du = np.zeros_like(eta)
+    return float(du[0]) if scalar else du
 
 
 def glm_weight(model: ModelSpec, theta, x) -> float:

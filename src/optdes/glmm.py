@@ -372,8 +372,9 @@ def optimize_block_design(
 
     Blocks are the atoms of the continuous optimizer in optdes.optimize: the
     support schedule starts at ceil(p/m) blocks, a vertex-direction pass on a
-    coarse block lattice warm-starts the Nelder-Mead polish of block
-    coordinates and weights, blocks that coincide up to run order are merged,
+    coarse block lattice warm-starts the L-BFGS-B polish of block
+    coordinates and weights (finite-difference gradient), blocks that
+    coincide up to run order are merged,
     and each candidate is certified by block_equivalence_check (lattice step
     options.grid.step, default 0.02).  The result's design is a BlockDesign.
     """

@@ -10,9 +10,10 @@ three layers:
 * a multiplicative reweighting step that is exact on a fixed support,
 * a vertex-direction pass (add the candidate atom of largest averaged
   variance with a decaying step) used as a warm start,
-* Nelder-Mead polishing in a smooth reparameterization: coordinates move
-  through x = lo + span * sin^2(phi) and weights through a stick-breaking
-  chain of squared sines, so the search space is unconstrained.
+* a gradient polish: bounded L-BFGS-B on the atom coordinates (inside the
+  search box) and softmax logits of the weights, with the closed-form
+  gradient of the averaged -log det for points and finite differences for
+  blocks, alternating with the reweighting step.
 
 Support size is scheduled upward from the smallest plausible value and each
 candidate must pass the equivalence check before it is accepted as optimal.
@@ -45,7 +46,13 @@ from .designs import (
     support_bound,
 )
 from .errors import NumericalError, ValidationError
-from .families import ModelSpec, eval_basis_many, weight_from_eta
+from .families import (
+    ModelSpec,
+    eval_basis_jacobian,
+    eval_basis_many,
+    weight_derivative,
+    weight_from_eta,
+)
 from .priors import (
     STREAM_ANNEAL,
     STREAM_EXCHANGE,
@@ -59,43 +66,6 @@ from .priors import (
 def _log(enabled: bool, msg: str) -> None:
     if enabled:
         print(msg, file=sys.stderr)
-
-
-# ------------------------------------------------------------ transformations
-
-def stick_decode(psis: np.ndarray) -> np.ndarray:
-    """Map t-1 angles to t positive weights summing to one."""
-    t = psis.shape[0] + 1
-    w = np.empty(t)
-    rem = 1.0
-    for i, a in enumerate(psis):
-        s = math.sin(a) ** 2
-        w[i] = rem * s
-        rem *= 1.0 - s
-    w[t - 1] = rem
-    return w
-
-
-def stick_encode(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    t = w.shape[0]
-    psis = np.empty(max(t - 1, 0))
-    rem = 1.0
-    for i in range(t - 1):
-        frac = w[i] / rem if rem > 1e-300 else 0.0
-        frac = min(max(frac, 0.0), 1.0)
-        psis[i] = math.asin(math.sqrt(frac))
-        rem *= 1.0 - frac
-    return psis
-
-
-def box_decode(phis: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
-    return lo + span * np.sin(phis) ** 2
-
-
-def box_encode(x: np.ndarray, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
-    frac = np.clip((x - lo) / span, 0.0, 1.0)
-    return np.arcsin(np.sqrt(frac))
 
 
 # ------------------------------------------------------------------ atom pool
@@ -126,8 +96,12 @@ class _Atoms:
     * canonical(X), design(X, w): a canonical coordinate order per atom and
       the design object for pruned atoms;
     * objective(design), certify(design, opts, tol): the reported
-      -log det and the equivalence check.
+      -log det and the equivalence check;
+    * optionally value_grad(X, w): mean_objective with its gradients in X
+      and w, for the polish (None: finite differences).
     """
+
+    value_grad = None
 
     def canonical(self, X: np.ndarray) -> np.ndarray:
         return X
@@ -176,6 +150,33 @@ class _PointAtoms(_Atoms):
     def variances(self, data, Minv: np.ndarray) -> np.ndarray:
         F, U = data
         return U * np.einsum("sni,ni->sn", F @ Minv, F)
+
+    def value_grad(self, X: np.ndarray, w: np.ndarray):
+        """mean_objective and its gradients in X and w (inf, None, None when
+        inadmissible or singular).
+
+        With A_s = M_s^{-1} and d_s = u_s f'A_s f, the weights get -dbar and
+        atom i gets -w_i sum_s tau_s [u_s' (f'A_s f) theta_s'J + 2 u_s f'A_s J]
+        with J = df/dx.
+        """
+        model = self.model
+        F = eval_basis_many(model.basis, X)
+        eta = F @ self.thetas.T
+        U = weight_from_eta(model.family, model.link, eta).T
+        if not np.isfinite(U).all():
+            return math.inf, None, None
+        Ms = self.info_stack((F, U), w)
+        obj = _neg_logdet(self.tw, Ms)
+        if math.isinf(obj):
+            return obj, None, None
+        J = eval_basis_jacobian(model.basis, X)
+        dU = weight_derivative(model.family, model.link, eta).T
+        FA = F @ np.linalg.inv(Ms)
+        q = np.einsum("sni,ni->sn", FA, F)
+        grad_eta = np.einsum("sn,si,nik->snk", dU * q, self.thetas, J)
+        grad_f = 2.0 * U[:, :, None] * np.einsum("sni,nik->snk", FA, J)
+        gX = -w[:, None] * np.einsum("s,snk->nk", self.tw, grad_eta + grad_f)
+        return obj, gX, -(self.tw @ (U * q))
 
     def search_box(self, opts) -> tuple[np.ndarray, np.ndarray]:
         return _search_box(self.model, self.thetas, opts.grid or GridSpec())
@@ -333,7 +334,12 @@ def _wf_core(atoms: _Atoms, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ContinuousOptOptions:
-    """Knobs for the support-size schedule and the polishing stack."""
+    """Knobs for the support-size schedule and the polishing stack.
+
+    Each of the multistarts at a support size runs up to 1 + restarts
+    L-BFGS-B rounds; max_evals caps the objective evaluations of one round
+    (L-BFGS-B's maxfun, finite-difference evaluations included).
+    """
 
     t_min: int | None = None
     t_max: int | None = None
@@ -364,48 +370,59 @@ class OptimizeResult:
     t_final: int
 
 
-def _nm(fun, z0: np.ndarray, max_evals: int) -> tuple[np.ndarray, float]:
-    res = minimize(
-        fun,
-        z0,
-        method="Nelder-Mead",
-        options={
-            "maxfev": max_evals,
-            "xatol": 1e-10,
-            "fatol": 1e-13,
-            "adaptive": True,
-        },
-    )
-    return np.asarray(res.x, dtype=float), float(res.fun)
+# the polish's objective at an inadmissible or singular point: finite, so
+# L-BFGS-B's line search backs off from such points instead of failing
+_INADMISSIBLE = 1e30
 
 
-def _polish(atoms, lo, span, t, z0, opts) -> tuple[float, np.ndarray, np.ndarray]:
+def _polish(atoms, lo, span, t, X0, w0, opts) -> tuple[float, np.ndarray, np.ndarray]:
+    """Bounded L-BFGS-B on t atoms and their softmax weight logits.
+
+    The gradient is the atom kind's value_grad when it has one, else scipy's
+    finite differences.  Each round is followed by refine_weights on the
+    polished support; rounds repeat (up to 1 + opts.restarts) while the
+    reweighting still gains.
+    """
     k = atoms.k
+    hi = lo + span
+    bounds = list(zip(np.tile(lo, t), np.tile(hi, t))) + [(None, None)] * t
+    value_grad = atoms.value_grad
+    options = {"maxfun": opts.max_evals, "ftol": 1e-15, "gtol": 1e-9}
+    if value_grad is None:
+        options["eps"] = 1e-7
+
+    def unpack(z):
+        v = np.exp(z[t * k :] - z[t * k :].max())
+        return z[: t * k].reshape(t, k), v / v.sum()
 
     def fun(z):
-        X = box_decode(z[: t * k].reshape(t, k), lo, span)
-        w = stick_decode(z[t * k :])
-        return atoms.mean_objective(X, w)
+        X, w = unpack(z)
+        if value_grad is None:
+            obj = atoms.mean_objective(X, w)
+            return obj if obj < _INADMISSIBLE else _INADMISSIBLE
+        obj, gX, gw = value_grad(X, w)
+        if not obj < _INADMISSIBLE:
+            return _INADMISSIBLE, np.zeros_like(z)
+        # through the softmax: dw_i/dv_j = w_i (delta_ij - w_j)
+        return obj, np.concatenate([gX.ravel(), w * (gw - w @ gw)])
 
-    z = np.asarray(z0, dtype=float)
-    obj = fun(z)
+    X, w = np.clip(X0, lo, hi), np.asarray(w0, dtype=float)
+    obj = atoms.mean_objective(X, w)
     for _ in range(1 + opts.restarts):
-        z_new, obj_new = _nm(fun, z, opts.max_evals)
-        if obj_new < obj:
-            z, obj = z_new, obj_new
-        X = box_decode(z[: t * k].reshape(t, k), lo, span)
-        w = stick_decode(z[t * k :])
+        z = np.concatenate([X.ravel(), np.log(np.maximum(w, 1e-300))])
+        res = minimize(
+            fun, z, method="L-BFGS-B", jac=value_grad is not None, bounds=bounds,
+            options=options,
+        )
+        if res.fun < min(obj, _INADMISSIBLE):
+            obj = float(res.fun)
+            X, w = unpack(res.x)
         w_ref, obj_ref = refine_weights(atoms, X, w)
-        if obj_ref < obj:
-            z = np.concatenate([z[: t * k], stick_encode(w_ref)])
-            improvement = obj - obj_ref
-            obj = obj_ref
-        else:
-            improvement = 0.0
+        improvement = obj - obj_ref if obj_ref < obj else 0.0
+        if improvement > 0.0:
+            w, obj = w_ref, obj_ref
         if improvement < 1e-11:
             break
-    X = box_decode(z[: t * k].reshape(t, k), lo, span)
-    w = stick_decode(z[t * k :])
     return obj, X, w
 
 
@@ -469,16 +486,14 @@ def _optimize_atoms(atoms: _Atoms, opts: ContinuousOptOptions) -> OptimizeResult
             init = _initial_state(atoms, lo, span, t, s_idx, opts, warm)
             if init is None:
                 continue
-            X0, w0 = init
-            z0 = np.concatenate([box_encode(X0, lo, span).ravel(), stick_encode(w0)])
-            obj, X, w = _polish(atoms, lo, span, t, z0, opts)
+            obj, X, w = _polish(atoms, lo, span, t, *init, opts)
             if obj < t_best[0]:
                 t_best = (obj, X, w)
         if t_best[1] is None:
             continue
         _, X, w = t_best
-        # the stick transform can pinch a weight to exactly zero; drop such
-        # atoms before handing the design to the pruner
+        # refine_weights can drive a weight to exactly zero; drop such atoms
+        # before handing the design to the pruner
         alive = w > 0.0
         if np.count_nonzero(alive) < atoms.min_atoms:
             continue
@@ -702,10 +717,7 @@ def _anneal(atoms: _PointAtoms, opts: ExactOptOptions):
         if X is None:
             raise NumericalError("could not find a nonsingular starting design after 32 re-draws")
 
-        F = eval_basis_many(model.basis, X)
-        eta = F @ atoms.thetas.T
-        U = weight_from_eta(model.family, model.link, eta).T
-        U = np.atleast_2d(U)
+        F, U = atoms.eval(X)
         Ms = np.einsum("sn,ni,nj->sij", U / n, F, F)
         Minv = np.linalg.inv(Ms)
         sign, ld = np.linalg.slogdet(Ms)

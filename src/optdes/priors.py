@@ -73,13 +73,18 @@ class Prior:
 
     @staticmethod
     def from_sample(draws, weights=None) -> "Prior":
-        d = np.atleast_2d(np.asarray(draws, dtype=float))
-        if weights is None:
+        try:
+            d = np.atleast_2d(np.asarray(draws, dtype=float))
+            w = None if weights is None else np.asarray(weights, dtype=float).reshape(-1)
+        except ValueError:
+            raise ValidationError("sample draws and weights must be rectangular arrays") from None
+        if d.ndim != 2 or not np.all(np.isfinite(d)):
+            raise ValidationError("sample draws must be a finite (n, p) array")
+        if w is None:
             w = np.full(d.shape[0], 1.0 / d.shape[0])
         else:
-            w = np.asarray(weights, dtype=float).reshape(-1)
-            if w.shape[0] != d.shape[0] or not np.all(w > 0):
-                raise ValidationError("sample weights must be positive, one per draw")
+            if w.shape[0] != d.shape[0] or not np.all((w > 0) & np.isfinite(w)):
+                raise ValidationError("sample weights must be positive and finite, one per draw")
             w = w / w.sum()
         return Prior(kind="sample", draws=d, weights=w)
 

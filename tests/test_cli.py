@@ -144,6 +144,50 @@ def test_invalid_design_weights_exit_2(tmp_path, capsys):
     assert "sum" in capsys.readouterr().err
 
 
+def _free_axis_check(tmp_path, prior, options=None):
+    config = {
+        "task": "check",
+        "model": {
+            "family": {"kind": "binomial"},
+            "link": {"kind": "logistic"},
+            "basis": {"k": 1, "order": 1},
+            "region": {"bounds": [None]},
+        },
+        "prior": prior,
+        "design": {"kind": "continuous", "points": [[-1.0], [1.0]], "weights": [0.5, 0.5]},
+        "output": {"dir": str(tmp_path), "prefix": "chk"},
+    }
+    if options is not None:
+        config["options"] = options
+    # written by hand: 1e400 parses as inf, which json.dumps cannot write
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config).replace('"INF"', "1e400"))
+    return str(path)
+
+
+@pytest.mark.parametrize("window", [[1.0, -1.0], ["INF", 1.0]], ids=["reversed", "inf"])
+def test_bad_window_exits_2(tmp_path, capsys, window):
+    prior = {"kind": "point", "theta": [0.0, 1.0]}
+    assert main(["run", _free_axis_check(tmp_path, prior, {"window": window})]) == 2
+    assert "window" in capsys.readouterr().err
+    assert not (tmp_path / "chk.report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [
+        {"kind": "sample", "draws": [[0.0, 1.0], [0.0]]},
+        {"kind": "sample", "draws": [[0.0, 1.0], [0.0, "INF"]]},
+        {"kind": "sample", "draws": [[0.0, 1.0], [0.5, 1.0]], "weights": [1.0, "INF"]},
+    ],
+    ids=["ragged-draws", "inf-draw", "inf-weight"],
+)
+def test_bad_sample_prior_exits_2(tmp_path, capsys, prior):
+    assert main(["run", _free_axis_check(tmp_path, prior)]) == 2
+    assert "sample" in capsys.readouterr().err
+    assert not (tmp_path / "chk.report.json").exists()
+
+
 def test_check_reports_suboptimal_design_without_failing(tmp_path, capsys):
     cfg = _write_config(
         tmp_path / "c.json",

@@ -7,6 +7,7 @@ from conftest import nearest_row
 from optdes.designs import (
     ContinuousDesign,
     ExactDesign,
+    GridSpec,
     d_efficiency,
     d_objective,
     default_tol,
@@ -54,6 +55,24 @@ def test_continuous_design_validates_weights():
         ContinuousDesign(pts, np.array([1.0, 0.0]))
     with pytest.raises(ValidationError):
         ContinuousDesign(pts, np.array([0.5, 0.5, 0.0][:2] + [0.0]))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"window": (1.0, -1.0)},
+        {"window": (1.0, 1.0)},
+        {"window": (float("inf"), 1.0)},
+        {"window": (-1.0, float("nan"))},
+        {"step": float("inf")},
+        {"step": float("nan")},
+        {"step": 0.0},
+    ],
+    ids=["reversed", "empty", "inf-lo", "nan-hi", "inf-step", "nan-step", "zero-step"],
+)
+def test_grid_spec_rejects_bad_window_or_step(kwargs):
+    with pytest.raises(ValidationError):
+        GridSpec(**kwargs)
 
 
 def test_continuous_design_does_not_renormalize():

@@ -15,11 +15,13 @@ from optdes.families import (
     ModelBasis,
     ModelSpec,
     eta_admissible_mask,
+    eval_basis_jacobian,
     eval_basis_many,
     inverse_link,
     link_value,
     linear_predictor,
     mean_derivative,
+    weight_derivative,
     weight_from_eta,
     weights_at,
 )
@@ -54,6 +56,69 @@ def test_mean_derivative_matches_finite_differences(link):
     an = mean_derivative(link, eta)
     scale = np.maximum(1.0, np.abs(an))
     assert np.max(np.abs(fd - an) / scale) < 1e-6
+
+
+# every family-link pair, with the shapes that change the weight's form
+WEIGHT_PAIRS = [
+    (Family("binomial"), LinkFunction("logistic")),
+    (Family("binomial"), LinkFunction("probit")),
+    (Family("binomial"), LinkFunction("cloglog")),
+    (Family("binomial", 2.0), LinkFunction("loglog")),
+    (Family("poisson"), LinkFunction("log")),
+    (Family("gamma"), LinkFunction("log")),
+    (Family("gamma"), LinkFunction("boxcox", 0.0)),
+    (Family("gamma"), LinkFunction("boxcox", 0.5)),
+    (Family("gamma", 0.5), LinkFunction("boxcox", -2.0)),
+    (Family("gamma"), LinkFunction("power", 1.0)),
+    (Family("gamma"), LinkFunction("power", -0.5)),
+    (Family("normal"), LinkFunction("identity")),
+]
+
+
+def _eta_with_edges(family, link):
+    """Tails for binomial (|eta| up to 40); points near the domain edge for
+    box-cox and power, each with a stencil step scaled to its distance."""
+    if family.kind == "binomial":
+        eta = np.linspace(-40.0, 40.0, 161)
+        return eta, np.full(eta.shape, 1e-6)
+    if link.kind == "power" or (link.kind == "boxcox" and link.shape != 0.0):
+        edge = 0.0 if link.kind == "power" else -1.0 / link.shape
+        side = 1.0 if link.kind == "power" or link.shape > 0 else -1.0
+        dist = np.concatenate([[1e-4, 1e-3, 0.1], np.linspace(0.5, 5.0, 10)])
+        return edge + side * dist, 1e-4 * np.minimum(dist, 1.0)
+    eta = np.linspace(-5.0, 5.0, 21)
+    return eta, np.full(eta.shape, 1e-6)
+
+
+@pytest.mark.parametrize(
+    "family,link", WEIGHT_PAIRS, ids=lambda v: f"{v.kind}-{getattr(v, 'shape', '')}"
+)
+def test_weight_derivative_matches_central_differences(family, link):
+    eta, h = _eta_with_edges(family, link)
+    fd = (weight_from_eta(family, link, eta + h) - weight_from_eta(family, link, eta - h)) / (2 * h)
+    an = weight_derivative(family, link, eta)
+    assert np.all(np.isfinite(an))
+    # atol only absorbs subnormal weights deep in the binomial tails
+    np.testing.assert_allclose(an, fd, rtol=1e-6, atol=1e-290)
+
+
+def test_weight_derivative_is_nan_outside_the_domain():
+    assert math.isnan(weight_derivative(Family("gamma"), LinkFunction("power", 1.0), -0.5))
+    assert math.isnan(weight_derivative(Family("gamma"), LinkFunction("boxcox", 0.5), -3.0))
+    assert weight_derivative(Family("binomial"), LinkFunction("cloglog"), 800.0) == 0.0
+
+
+def test_basis_jacobian_matches_central_differences():
+    basis = ModelBasis(3, ((0, 0, 0), (1, 0, 0), (0, 1, 1), (2, 0, 1), (0, 3, 0), (1, 1, 1)))
+    pts = np.random.default_rng(3).uniform(-2.0, 2.0, (7, 3))
+    jac = eval_basis_jacobian(basis, pts)
+    assert jac.shape == (7, basis.p, 3)
+    h = 1e-6
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = h
+        fd = (eval_basis_many(basis, pts + e) - eval_basis_many(basis, pts - e)) / (2 * h)
+        np.testing.assert_allclose(jac[:, :, j], fd, rtol=1e-7, atol=1e-8)
 
 
 @pytest.mark.parametrize("link", LINKS, ids=lambda l: f"{l.kind}-{l.shape}")

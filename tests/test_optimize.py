@@ -9,6 +9,7 @@ from optdes.families import DesignRegion, Family, LinkFunction, ModelBasis, Mode
 from optdes.optimize import (
     ContinuousOptOptions,
     ExactOptOptions,
+    _PointAtoms,
     optimize_continuous,
     optimize_exact,
 )
@@ -108,3 +109,63 @@ def test_exact_objective_never_beats_continuous():
         model, theta, ExactOptOptions(n=5, method="grid_exchange", grid_step=0.05, seed=0)
     )
     assert ex.objective >= cont.objective - 1e-9
+
+
+def _central_gradient(f, X, w, h=1e-6):
+    gX = np.zeros_like(X)
+    for idx in np.ndindex(*X.shape):
+        e = np.zeros_like(X)
+        e[idx] = h
+        gX[idx] = (f(X + e, w) - f(X - e, w)) / (2 * h)
+    gw = np.zeros_like(w)
+    for i in range(w.size):
+        e = np.zeros_like(w)
+        e[i] = h
+        gw[i] = (f(X, w + e) - f(X, w - e)) / (2 * h)
+    return gX, gw
+
+
+@pytest.mark.parametrize("case", ["local-quadratic", "bayes-probit", "free-axis-cloglog"])
+def test_point_value_grad_matches_central_differences(case):
+    rng = np.random.default_rng(5)
+    if case == "local-quadratic":
+        model = ModelSpec(
+            Family("binomial"), LinkFunction("logistic"), ModelBasis.second_order(2),
+            DesignRegion.cube(-1.0, 1.0, 2),
+        )
+        thetas = np.array([[1.0, 2.0, 2.0, -1.0, -1.5, 1.5]])
+        X = rng.uniform(-1.0, 1.0, (8, 2))
+    elif case == "bayes-probit":
+        model = ModelSpec(
+            Family("binomial"), LinkFunction("probit"), ModelBasis.first_order(2),
+            DesignRegion.cube(-1.0, 1.0, 2),
+        )
+        thetas = np.array([0.5, 1.0, 1.5]) + 0.3 * rng.standard_normal((5, 3))
+        X = rng.uniform(-1.0, 1.0, (5, 2))
+    else:
+        model = ModelSpec(
+            Family("binomial"), LinkFunction("cloglog"), ModelBasis.first_order(1),
+            DesignRegion.box_with_free_last(()),
+        )
+        thetas = np.array([[0.2, 1.3]])
+        X = rng.uniform(-3.0, 2.0, (3, 1))
+    atoms = _PointAtoms(model, thetas, rng.uniform(0.5, 1.0, thetas.shape[0]))
+    w = rng.uniform(0.5, 1.0, X.shape[0])
+    w /= w.sum()
+    obj, gX, gw = atoms.value_grad(X, w)
+    assert obj == atoms.mean_objective(X, w)
+    fX, fw = _central_gradient(atoms.mean_objective, X, w)
+    scale = max(np.max(np.abs(fX)), np.max(np.abs(fw)))
+    assert max(np.max(np.abs(gX - fX)), np.max(np.abs(gw - fw))) <= 1e-6 * scale
+
+
+def test_gradient_polish_finds_smaller_certified_quadratic_optimum():
+    # Nelder-Mead stopped at t = 10 with 18.594932 on this problem
+    model = ModelSpec(
+        Family("binomial"), LinkFunction("logistic"), ModelBasis.second_order(2),
+        DesignRegion.cube(-1.0, 1.0, 2),
+    )
+    res = optimize_continuous(model, np.array([1.0, 2.0, 2.0, -1.0, -1.5, 1.5]))
+    assert res.is_optimal
+    assert res.objective <= 18.59493
+    assert res.t_final <= 9

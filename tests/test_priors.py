@@ -55,6 +55,22 @@ def test_uniform_box_prior_allows_degenerate_axes():
         Prior.uniform_box([[1.0, 0.0]])
 
 
+@pytest.mark.parametrize(
+    "draws,weights",
+    [
+        ([[0.0, 1.0], [0.0]], None),
+        ([[0.0, 1.0], [0.0, float("inf")]], None),
+        ([[0.0, 1.0], [float("nan"), 1.0]], None),
+        ([[0.0, 1.0], [0.5, 1.0]], [1.0, float("inf")]),
+        ([[0.0, 1.0], [0.5, 1.0]], [[1.0], [1.0, 2.0]]),
+    ],
+    ids=["ragged-draws", "inf-draw", "nan-draw", "inf-weight", "ragged-weights"],
+)
+def test_sample_prior_rejects_bad_input(draws, weights):
+    with pytest.raises(ValidationError):
+        Prior.from_sample(draws, weights)
+
+
 def test_sample_prior_lhs_stratifies_each_axis():
     p = Prior.uniform_box([[0.0, 1.0], [-2.0, 0.0]])
     s = sample_prior(p, SampleSpec(8, seed=3, method="lhs"))
