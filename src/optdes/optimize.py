@@ -160,17 +160,15 @@ class _PointAtoms(_Atoms):
         with J = df/dx.
         """
         model = self.model
-        F = eval_basis_many(model.basis, X)
-        eta = F @ self.thetas.T
-        U = weight_from_eta(model.family, model.link, eta).T
-        if not np.isfinite(U).all():
+        F, U = self.eval(X)
+        if not self.admissible((F, U)).all():
             return math.inf, None, None
         Ms = self.info_stack((F, U), w)
         obj = _neg_logdet(self.tw, Ms)
         if math.isinf(obj):
             return obj, None, None
         J = eval_basis_jacobian(model.basis, X)
-        dU = weight_derivative(model.family, model.link, eta).T
+        dU = weight_derivative(model.family, model.link, F @ self.thetas.T).T
         FA = F @ np.linalg.inv(Ms)
         q = np.einsum("sni,ni->sn", FA, F)
         grad_eta = np.einsum("sn,si,nik->snk", dU * q, self.thetas, J)
