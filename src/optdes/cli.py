@@ -228,6 +228,9 @@ _GRID_OPTS = {
     "tol": {"type": "number", "exclusiveMinimum": 0},
 }
 
+# block lattices need a bounded region, so block tasks take no window
+_BLOCK_GRID_OPTS = {"grid_step": _GRID_OPTS["grid_step"], "tol": _GRID_OPTS["tol"]}
+
 _TASK_OPTIONS = {
     "optimize": {
         "type": "object",
@@ -304,7 +307,7 @@ _TASK_OPTIONS = {
             "sigma2": {"type": "number", "minimum": 0},
             "method": {"enum": ["ql", "mql", "gee"]},
             "gee_alpha": _NUM,
-            **_GRID_OPTS,
+            **_BLOCK_GRID_OPTS,
         },
         "required": ["m", "sigma2", "method"],
         "additionalProperties": False,
@@ -316,7 +319,7 @@ _TASK_OPTIONS = {
             "sigma2": {"type": "number", "minimum": 0},
             "method": {"enum": ["ql", "mql", "gee"]},
             "gee_alpha": _NUM,
-            **_GRID_OPTS,
+            **_BLOCK_GRID_OPTS,
         },
         "required": ["m", "sigma2", "method"],
         "additionalProperties": False,
@@ -423,7 +426,7 @@ def _floats(v):
 
 def _build_design(d: dict):
     if d["kind"] == "block":
-        return BlockDesign(np.array(d["blocks"], dtype=float), np.array(d["weights"], dtype=float))
+        return BlockDesign(d["blocks"], np.array(d["weights"], dtype=float))
     return design_from_jsonable(d)
 
 
@@ -715,9 +718,8 @@ def _block_common(config, opts, seed):
 
 def _task_block_optimize(config, opts, seed):
     gm, theta, method, alpha = _block_common(config, opts, seed)
-    res = optimize_block_design(
-        gm, theta, method=method, options=ContinuousOptOptions(seed=seed), gee_alpha=alpha
-    )
+    copts = ContinuousOptOptions(seed=seed, grid=_grid_from(opts), tol=opts.get("tol"))
+    res = optimize_block_design(gm, theta, method=method, options=copts, gee_alpha=alpha)
     design = res.design.canonical()
     rep = res.report
     report = {

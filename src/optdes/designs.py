@@ -29,6 +29,10 @@ from .families import (
 # optimizers are normalized exactly before construction
 _WEIGHT_SUM_TOL = 1e-8
 
+# largest tensor lattice (grid step with k <= 2) an equivalence scan or grid
+# exchange may build: 1e7 points of two coordinates take 160 MB
+_MAX_GRID_POINTS = 10_000_000
+
 _thread_count = 1
 
 
@@ -54,7 +58,10 @@ def support_bound(p: int) -> int:
 
 
 def _as_points(points, k=None) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except ValueError:
+        raise ValidationError("design points must be a rectangular array of numbers") from None
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2:
@@ -180,15 +187,52 @@ def _design_weights(design) -> tuple[np.ndarray, np.ndarray]:
     raise ValidationError(f"not a design: {type(design).__name__}")
 
 
+def _information_stack(model: ModelSpec, points, weights, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """(S, p, p) information of S designs ((S, t, k) points and (S, t) weights,
+    or one design broadcast), one row of the (S, p) thetas each, and the (S,)
+    mask of designs with every point inside the link's domain."""
+    S, (t, k) = thetas.shape[0], points.shape[-2:]
+    if k != model.k:
+        raise DimensionError(f"design has k={k}, model has k={model.k}")
+    if thetas.shape[1:] != (model.p,):
+        raise DimensionError(f"theta has shape {thetas.shape[1:]}, model expects ({model.p},)")
+    pts = np.broadcast_to(points, (S, t, k)).reshape(S * t, k)
+    F = eval_basis_many(model.basis, pts).reshape(S, t, model.p)
+    eta = np.matmul(F, thetas[:, :, None])[:, :, 0]
+    u = weight_from_eta(model.family, model.link, eta)
+    M = np.matmul(np.swapaxes(F * (weights * u)[:, :, None], 1, 2), F)
+    return 0.5 * (M + np.swapaxes(M, 1, 2)), eta_admissible_mask(model.link, eta).all(axis=1)
+
+
+def _logdet_stack(M, rel_tol: float = 1e-12) -> np.ndarray:
+    """psd_logdet of each matrix of an (S, n, n) stack, NaN where singular.
+
+    Step i leaves pivot i on the diagonal for good, so pivots are checked after
+    the loop.  Their logs are taken with math.log and summed in order, since
+    numpy's vectorized log and pairwise sum can differ in the last bit."""
+    a = np.array(M, dtype=float)
+    S, n = a.shape[0], a.shape[1]
+    scale = np.abs(np.diagonal(a, axis1=1, axis2=2)).max(axis=1, initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(n - 1):
+            c = a[:, i + 1 :, i, None]
+            a[:, i + 1 :, i + 1 :] -= c / a[:, i, i, None, None] * c.transpose(0, 2, 1)
+        piv = np.diagonal(a, axis1=1, axis2=2)
+        ok = np.isfinite(scale) & (scale > 0.0) & (piv > rel_tol * scale[:, None]).all(axis=1)
+    ld = np.full(S, np.nan)
+    if ok.any():
+        logs = np.array(list(map(math.log, piv[ok].ravel().tolist()))).reshape(-1, n)
+        ld[ok] = np.cumsum(logs, axis=1)[:, -1]
+    return ld
+
+
 def information_matrix(design, model: ModelSpec, theta) -> np.ndarray:
     """M(xi; theta) = sum_i w_i u(x_i) f(x_i) f(x_i)'  (symmetric p x p)."""
     pts, w = _design_weights(design)
-    if pts.shape[1] != model.k:
-        raise DimensionError(f"design has k={pts.shape[1]}, model has k={model.k}")
-    u = weights_at(model, theta, pts)
-    F = eval_basis_many(model.basis, pts)
-    M = (F * (w * u)[:, None]).T @ F
-    return 0.5 * (M + M.T)
+    M, ok = _information_stack(model, pts, w, np.asarray(theta, dtype=float)[None])
+    if not ok[0]:
+        weights_at(model, theta, pts)  # raises, naming the first inadmissible point
+    return M[0]
 
 
 def psd_logdet(M, rel_tol: float = 1e-12) -> float | None:
@@ -198,25 +242,11 @@ def psd_logdet(M, rel_tol: float = 1e-12) -> float | None:
     diagonal entry of the input, which is the package-wide notion of
     "numerically singular".
     """
-    a = np.array(M, dtype=float)
+    a = np.asarray(M, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"matrix expected, got shape {a.shape}")
-    d = np.abs(np.diag(a))
-    scale = float(d.max()) if a.shape[0] else 0.0
-    if not np.isfinite(scale) or scale <= 0.0:
-        return None
-    thresh = rel_tol * scale
-    acc = 0.0
-    n = a.shape[0]
-    for i in range(n):
-        piv = a[i, i]
-        if not piv > thresh:
-            return None
-        acc += math.log(piv)
-        if i + 1 < n:
-            col = a[i + 1 :, i] / piv
-            a[i + 1 :, i + 1 :] -= np.outer(col, a[i + 1 :, i])
-    return acc
+    ld = float(_logdet_stack(a[None], rel_tol)[0])
+    return None if math.isnan(ld) else ld
 
 
 def d_objective(M) -> float:
@@ -241,6 +271,25 @@ def d_efficiency(design, reference, model: ModelSpec, theta) -> float:
     if ld is None:
         return 0.0
     return math.exp((ld - ld_ref) / model.p)
+
+
+def _efficiencies(design, refs, model: ModelSpec, draws) -> list[float]:
+    """d_efficiency(design, refs[i], model, draws[i]) for every i, bit for bit,
+    from one information stack for design and one per reference shape."""
+    thetas = np.array(draws)
+    M, ok = _information_stack(model, *_design_weights(design), thetas)
+    ld, ld_ref = _logdet_stack(M), np.empty(len(refs))
+    weighted = [_design_weights(ref) for ref in refs]
+    for shape in {pts.shape for pts, _ in weighted}:
+        idx = [i for i, (pts, _) in enumerate(weighted) if pts.shape == shape]
+        pts, w = (np.stack(a) for a in zip(*(weighted[i] for i in idx)))
+        M_ref, ok_ref = _information_stack(model, pts, w, thetas[idx])
+        ld_ref[idx] = np.where(ok_ref, _logdet_stack(M_ref), np.nan)
+    bad = np.flatnonzero(np.isnan(ld_ref) | ~ok)
+    if bad.size:  # the first failing draw, run alone, raises its own error
+        d_efficiency(design, refs[bad[0]], model, thetas[bad[0]])
+        raise NumericalError(f"stacked and single-draw efficiency disagree at draw {bad[0]}")
+    return [0.0 if math.isnan(v) else math.exp(v) for v in ((ld - ld_ref) / model.p).tolist()]
 
 
 def _inverse_information(design, model, theta) -> np.ndarray:
@@ -270,8 +319,9 @@ def sensitivity_profile(points, design, model: ModelSpec, theta) -> np.ndarray:
 class GridSpec:
     """How to discretize the region for equivalence scans and grid searches.
 
-    step drives the tensor grid used for one and two variables; n_qmc points
-    plus coordinate refinement from the refine_top best are used for three or
+    step drives the tensor grid used for one and two variables (at most
+    10 million points; a finer step is rejected); n_qmc points plus
+    coordinate refinement from the refine_top best are used for three or
     more.  window overrides the automatic interval for an unbounded axis.
     """
 
@@ -320,9 +370,17 @@ def default_tol(p: int) -> float:
     return 1e-3 * p
 
 
-def _axis_values(lo: float, hi: float, step: float) -> np.ndarray:
-    n = max(int(round((hi - lo) / step)), 1)
-    return np.linspace(lo, hi, n + 1)
+def _lattice_sizes(bounds, step: float) -> list[int]:
+    """Point count of each axis of the tensor lattice over bounds at step.
+
+    Raises ValidationError, before anything is allocated, when the lattice
+    would hold more than _MAX_GRID_POINTS points.
+    """
+    cap = _MAX_GRID_POINTS
+    sizes = [max(round(min((hi - lo) / step, cap)), 1) + 1 for lo, hi in bounds]
+    if math.prod(sizes) > cap:
+        raise ValidationError(f"grid step {step!r} gives more than {cap} lattice points")
+    return sizes
 
 
 def informative_window(
@@ -419,7 +477,8 @@ def build_eval_grid(model: ModelSpec, thetas, grid: GridSpec | None = None) -> n
         else:
             axes_bounds.append((lo, hi))
     if k <= 2:
-        axes = [_axis_values(lo, hi, grid.step) for lo, hi in axes_bounds]
+        sizes = _lattice_sizes(axes_bounds, grid.step)
+        axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(axes_bounds, sizes)]
         if k == 1:
             pts = axes[0][:, None]
         else:

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, combinations_with_replacement, product
 
 import numpy as np
 
 from .designs import (
     EquivalenceReport,
+    _lattice_sizes,
     _lock,
     d_objective,
     psd_logdet,
@@ -85,7 +86,12 @@ class BlockDesign:
     weights: np.ndarray
 
     def __post_init__(self):
-        B = np.asarray(self.blocks, dtype=float)
+        try:
+            B = np.asarray(self.blocks, dtype=float)
+        except ValueError:
+            raise ValidationError(
+                "design blocks must be a rectangular (t, m, k) array: every block m runs of k numbers"
+            ) from None
         if B.ndim == 2:
             B = B[:, :, None]
         if B.ndim != 3:
@@ -237,27 +243,30 @@ def mv_sensitivity(
     return float(model.p - np.einsum("ij,ji->", Mz, Minv))
 
 
+# largest block lattice block_equivalence_check may scan
+_MAX_BLOCKS = 2_000_000
+
+
 def _block_grid(model: RandomInterceptModel, step: float) -> np.ndarray:
-    """All lex-nondecreasing blocks with rows on the axis lattice."""
-    for lo, hi in model.base.region.bounds:
-        if math.isinf(lo):
-            raise ValidationError("block grids need a bounded region")
-    axes = []
-    for lo, hi in model.base.region.bounds:
-        npts = max(int(round((hi - lo) / step)), 1)
-        axes.append(np.linspace(lo, hi, npts + 1))
-    if model.k == 1:
-        pts = axes[0][:, None]
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([a.ravel() for a in mesh])
-    n = pts.shape[0]
-    idx_combos = [
-        combo for combo in product(range(n), repeat=model.m)
-        if all(combo[i] <= combo[i + 1] for i in range(model.m - 1))
-    ]
-    Z = np.stack([pts[list(c)] for c in idx_combos])
-    return Z
+    """All lex-nondecreasing blocks with rows on the axis lattice.
+
+    A step that would give more than _MAX_BLOCKS blocks is rejected before
+    anything is built.
+    """
+    bounds = model.base.region.bounds
+    if any(math.isinf(lo) for lo, _ in bounds):
+        raise ValidationError("block grids need a bounded region")
+    sizes = _lattice_sizes(bounds, step)
+    n = math.prod(sizes)
+    count = math.comb(n + model.m - 1, model.m)
+    if count > _MAX_BLOCKS:
+        raise ValidationError(
+            f"grid step {step!r} gives more than {_MAX_BLOCKS} lattice blocks of {model.m} runs"
+        )
+    mesh = np.meshgrid(*[np.linspace(lo, hi, s) for (lo, hi), s in zip(bounds, sizes)], indexing="ij")
+    pts = np.column_stack([a.ravel() for a in mesh])
+    combos = chain.from_iterable(combinations_with_replacement(range(n), model.m))
+    return pts[np.fromiter(combos, dtype=np.intp, count=count * model.m).reshape(count, model.m)]
 
 
 def block_equivalence_check(

@@ -222,9 +222,7 @@ def design_to_jsonable(design, model: ModelSpec | None = None) -> dict:
 
 def design_from_jsonable(d: dict):
     if d["kind"] == "exact":
-        return ExactDesign(np.array(d["points"], dtype=float), np.array(d["reps"]))
+        return ExactDesign(d["points"], np.array(d["reps"]))
     if d["kind"] == "continuous":
-        return ContinuousDesign(
-            np.array(d["points"], dtype=float), np.array(d["weights"], dtype=float)
-        )
+        return ContinuousDesign(d["points"], np.array(d["weights"], dtype=float))
     raise ValidationError(f"unknown design kind {d.get('kind')!r}")

@@ -313,6 +313,125 @@ def test_effdist_writes_ecdf(tmp_path, capsys):
     assert 0 < report["ecdf"]["min"] <= report["ecdf"]["median"] <= 1.0
 
 
+def test_effdist_error_names_the_first_failing_draw(tmp_path, capsys):
+    gamma_power = {
+        "family": {"kind": "gamma"},
+        "link": {"kind": "power", "shape": 1.0},
+        "basis": {"k": 1, "order": 1},
+        "region": {"bounds": [[0, 1]]},
+    }
+    cfg = _write_config(
+        tmp_path / "c.json",
+        {
+            "task": "effdist",
+            "seed": 7,
+            "model": gamma_power,
+            "prior": {"kind": "uniform_box", "bounds": [[-0.5, 0.5], [0.5, 1.5]]},
+            "design": {"kind": "continuous", "points": [[0], [1]], "weights": [0.5, 0.5]},
+            "options": {
+                "n_draws": 100,
+                "competitor": {
+                    "design": {"kind": "continuous", "points": [[0.5], [1]], "weights": [0.5, 0.5]}
+                },
+            },
+            "output": {"dir": str(tmp_path), "prefix": "ed"},
+        },
+    )
+    assert main(["run", cfg]) == 3
+    assert (
+        "linear predictor -0.3412492165903077 outside the domain of link 'power' "
+        "(design point index 0)" in capsys.readouterr().err
+    )
+
+
+POISSON_QUADRATIC_1D = {
+    "family": {"kind": "poisson"},
+    "link": {"kind": "log"},
+    "basis": {"k": 1, "order": 2},
+    "region": {"bounds": [[-1, 1]]},
+}
+BLOCK_OPTS = {"m": 2, "sigma2": 0.5, "method": "ql"}
+BLOCK_DESIGN = {"kind": "block", "blocks": [[[-1], [1]], [[0.5], [1]]], "weights": [0.5, 0.5]}
+
+
+def _block_config(tmp_path, task, options, design=BLOCK_DESIGN):
+    config = {
+        "task": task,
+        "model": POISSON_QUADRATIC_1D,
+        "prior": {"kind": "point", "theta": [0, 5, 1]},
+        "options": {**BLOCK_OPTS, **options},
+        "output": {"dir": str(tmp_path), "prefix": "blk"},
+    }
+    if task == "block-check":
+        config["design"] = design
+    return _write_config(tmp_path / "c.json", config)
+
+
+@pytest.mark.parametrize(
+    "task, design, field",
+    [
+        (
+            "check",
+            {"kind": "continuous", "points": [[-1], [1, 0.5]], "weights": [0.5, 0.5]},
+            "points",
+        ),
+        (
+            "block-check",
+            {"kind": "block", "blocks": [[[-1], [1]], [[0.5]]], "weights": [0.5, 0.5]},
+            "blocks",
+        ),
+    ],
+)
+def test_ragged_design_exits_2(tmp_path, capsys, task, design, field):
+    if task == "check":
+        cfg = _write_config(
+            tmp_path / "c.json",
+            {
+                "task": "check",
+                "model": POISSON_QUADRATIC_1D,
+                "prior": {"kind": "point", "theta": [0, 1, 1]},
+                "design": design,
+            },
+        )
+    else:
+        cfg = _block_config(tmp_path, task, {}, design)
+    assert main(["run", cfg]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_block_optimize_applies_tol_and_grid_step(tmp_path):
+    assert main(["run", _block_config(tmp_path, "block-optimize", {"tol": 0.1, "grid_step": 0.5})]) == 0
+    eq = json.loads((tmp_path / "blk.report.json").read_text())["equivalence"]
+    assert eq["tol"] == 0.1
+    # 5 lattice points give 15 blocks of 2 runs, plus the design's own blocks
+    assert eq["n_grid"] == 15 + eq["support_size"]
+
+
+@pytest.mark.parametrize("task", ["block-optimize", "block-check"])
+def test_block_tasks_reject_window(tmp_path, capsys, task):
+    assert main(["run", _block_config(tmp_path, task, {"window": [-1, 1]})]) == 2
+    assert "window" in capsys.readouterr().err
+    assert not (tmp_path / "blk.report.json").exists()
+
+
+@pytest.mark.parametrize("task", ["optimize-exact", "block-check"])
+def test_grid_step_above_the_size_cap_exits_2(tmp_path, capsys, task):
+    if task == "block-check":
+        cfg = _block_config(tmp_path, task, {"grid_step": 1e-300})
+    else:
+        cfg = _write_config(
+            tmp_path / "c.json",
+            {
+                "task": task,
+                "model": POISSON_QUADRATIC_1D,
+                "prior": {"kind": "point", "theta": [0, 1, 1]},
+                "options": {"n": 4, "grid_step": 1e-300},
+            },
+        )
+    assert main(["run", cfg]) == 2
+    assert "grid step" in capsys.readouterr().err
+
+
 def test_reproduce_writes_three_artifacts(tmp_path, capsys):
     code = main(["reproduce", "logistic-1d-efficiency", "--out", str(tmp_path)])
     assert code == 0

@@ -1,5 +1,7 @@
 """Design containers, information matrices, and the equivalence machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,9 @@ from optdes.designs import (
     ContinuousDesign,
     ExactDesign,
     GridSpec,
+    _information_stack,
+    _logdet_stack,
+    build_eval_grid,
     d_efficiency,
     d_objective,
     default_tol,
@@ -22,8 +27,16 @@ from optdes.designs import (
     sensitivity_profile,
     support_bound,
 )
-from optdes.errors import ValidationError
-from optdes.families import DesignRegion, Family, LinkFunction, ModelBasis, ModelSpec
+from optdes.errors import DimensionError, LinkDomainError, ValidationError
+from optdes.families import (
+    DesignRegion,
+    Family,
+    LinkFunction,
+    ModelBasis,
+    ModelSpec,
+    eval_basis_many,
+    weights_at,
+)
 
 
 def _logistic_1d():
@@ -205,3 +218,103 @@ def test_merge_and_prune():
     d2 = prune_design(ContinuousDesign(pts, w), weight_floor=1e-3)
     assert d2.points.shape[0] == 2
     assert d2.weights.sum() == pytest.approx(1.0)
+
+
+def _one_design_information(pts, w, model, theta):
+    """M = sum_i w_i u_i f_i f_i' in the matmul form the stack must reproduce."""
+    F = eval_basis_many(model.basis, pts)
+    M = (F * (w * weights_at(model, theta, pts))[:, None]).T @ F
+    return 0.5 * (M + M.T)
+
+
+def _one_matrix_logdet(M, rel_tol=1e-12):
+    """Symmetric elimination of one matrix, stopping at the first small pivot."""
+    a = np.array(M, dtype=float)
+    n = a.shape[0]
+    scale = float(np.abs(np.diag(a)).max()) if n else 0.0
+    if not np.isfinite(scale) or scale <= 0.0:
+        return None
+    acc = 0.0
+    for i in range(n):
+        piv = a[i, i]
+        if not piv > rel_tol * scale:
+            return None
+        acc += math.log(piv)
+        col = a[i + 1 :, i] / piv
+        a[i + 1 :, i + 1 :] -= np.outer(col, a[i + 1 :, i])
+    return acc
+
+
+def test_stacked_information_and_logdet_match_one_design_forms():
+    model = ModelSpec(
+        Family("poisson"),
+        LinkFunction("log"),
+        ModelBasis.second_order(2),
+        DesignRegion.cube(-1.0, 1.0, 2),
+    )
+    rng = np.random.default_rng(18)
+    S, t = 40, 8
+    pts = rng.uniform(-1, 1, size=(S, t, 2))
+    w = rng.uniform(0.1, 1.0, size=(S, t))
+    w /= w.sum(axis=1, keepdims=True)
+    thetas = rng.normal(size=(S, model.p))
+    M, ok = _information_stack(model, pts, w, thetas)
+    ld = _logdet_stack(M)
+    assert ok.all()
+    for s in range(S):
+        want = _one_design_information(pts[s], w[s], model, thetas[s])
+        assert np.array_equal(M[s], want)
+        assert np.array_equal(information_matrix(ContinuousDesign(pts[s], w[s]), model, thetas[s]), want)
+        assert ld[s] == _one_matrix_logdet(want) == psd_logdet(want)
+
+
+def test_stacked_singular_rule_matches_psd_logdet():
+    nan, inf = np.nan, np.inf
+    mats = [
+        np.diag([1.0, 1e-13]),
+        np.array([[1.0, nan], [nan, 1.0]]),
+        np.array([[nan, 0.0], [0.0, 1.0]]),
+        np.array([[inf, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, inf], [inf, 1.0]]),
+        np.zeros((2, 2)),
+        np.array([[2.0, 0.5], [0.5, 1.0]]),
+        np.array([[1.0, 1.0], [1.0, 1.0]]),
+        np.diag([3.0, 1e-11]),
+    ]
+    ld = _logdet_stack(np.stack(mats))
+    for M, got in zip(mats, ld):
+        want = _one_matrix_logdet(M)
+        assert psd_logdet(M) == want
+        assert np.isnan(got) if want is None else got == want
+    assert [v is None for v in map(psd_logdet, mats)] == [True] * 6 + [False, True, False]
+    # a singular pivot in the middle leaves garbage only in its own matrix
+    mid = np.stack([np.diag([1.0, 0.0, 1.0]), np.eye(3) * 2.0])
+    assert np.isnan(_logdet_stack(mid)[0]) and _logdet_stack(mid)[1] == 3 * math.log(2.0)
+    assert psd_logdet(np.zeros((0, 0))) is None
+
+
+def test_information_matrix_errors_name_the_failing_point():
+    model = ModelSpec(
+        Family("gamma"), LinkFunction("power", 1.0), ModelBasis.first_order(1), DesignRegion.cube(0, 1, 1)
+    )
+    d = ContinuousDesign(np.array([[1.0], [0.5], [0.0]]), np.full(3, 1 / 3))
+    with pytest.raises(LinkDomainError, match=r"design point index 1"):
+        information_matrix(d, model, np.array([-0.6, 0.9]))
+    with pytest.raises(DimensionError, match=r"theta has shape \(3,\), model expects \(2,\)"):
+        information_matrix(d, model, np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(DimensionError, match="design has k=1, model has k=2"):
+        information_matrix(d, _poisson_2d(), np.zeros(3))
+
+
+@pytest.mark.parametrize("step", [1e-300, 2.0 / 3200], ids=["underflow", "just-over-cap"])
+def test_tensor_grid_rejects_a_step_above_the_point_cap(step):
+    # rejected from the point count alone: nothing the size of the grid is built
+    with pytest.raises(ValidationError, match="lattice points"):
+        build_eval_grid(_poisson_2d(), np.array([0.0, 1.0, 1.0]), GridSpec(step=step))
+
+
+def test_ragged_design_points_are_a_validation_error():
+    with pytest.raises(ValidationError, match="points"):
+        ContinuousDesign([[-1.0], [1.0, 0.5]], [0.5, 0.5])
+    with pytest.raises(ValidationError, match="points"):
+        ExactDesign([[-1.0], [1.0, 0.5]], [1, 1])

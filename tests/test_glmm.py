@@ -1,5 +1,7 @@
 """Random-intercept block models: information, equivalence, optimization."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -13,6 +15,7 @@ from optdes.families import DesignRegion, Family, LinkFunction, ModelBasis, Mode
 from optdes.glmm import (
     BlockDesign,
     RandomInterceptModel,
+    _block_grid,
     block_design_info,
     block_equivalence_check,
     block_info_matrix,
@@ -256,3 +259,22 @@ def test_block_equivalence_check_flags_bad_design():
     rep = block_equivalence_check(bad, gm, THETA, method="ql", grid_step=0.05)
     assert not rep.is_optimal
     assert rep.min_psi < -rep.tol
+
+
+@pytest.mark.parametrize("k, m, step", [(1, 1, 0.5), (1, 3, 0.25), (2, 2, 0.5)])
+def test_block_grid_lists_every_nondecreasing_block_once(k, m, step):
+    base = ModelSpec(
+        Family("poisson"), LinkFunction("log"), ModelBasis.first_order(k), DesignRegion.cube(-1.0, 1.0, k)
+    )
+    axis = np.linspace(-1.0, 1.0, int(round(2.0 / step)) + 1)
+    pts = np.array(list(product(axis, repeat=k)))
+    want = [pts[list(c)] for c in product(range(len(pts)), repeat=m) if list(c) == sorted(c)]
+    assert np.array_equal(_block_grid(RandomInterceptModel(base, sigma2=0.5, m=m), step), np.stack(want))
+
+
+@pytest.mark.parametrize("step", [1e-300, 0.001], ids=["underflow", "just-over-cap"])
+def test_block_grid_rejects_a_step_above_the_block_cap(step):
+    # 0.001 gives 2001 points and 2,003,001 blocks of 2 runs; nothing is built
+    gm = RandomInterceptModel(_poisson_quadratic(), sigma2=0.5, m=2)
+    with pytest.raises(ValidationError, match="grid step"):
+        _block_grid(gm, step)

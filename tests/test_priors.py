@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from optdes.closed_form import russell_poisson_design
-from optdes.designs import ContinuousDesign, design_objective
-from optdes.errors import ValidationError
+from optdes import priors
+from optdes.designs import ContinuousDesign, ExactDesign, d_efficiency, design_objective
+from optdes.errors import (
+    LinkDomainError,
+    PreconditionError,
+    SingularDesignError,
+    ValidationError,
+)
 from optdes.families import DesignRegion, Family, LinkFunction, ModelBasis, ModelSpec
 from optdes.priors import (
     EfficiencyDistribution,
@@ -19,6 +25,7 @@ from optdes.priors import (
     rng_for,
     sample_prior,
 )
+from optdes.priors import STREAM_PRIOR, _draw
 
 
 def _poisson_2d():
@@ -182,3 +189,116 @@ def test_equivalence_check_accepts_point_theta_and_prior():
     rep2 = equivalence_check(d, model, Prior.point(theta))
     assert rep2.is_optimal
     assert rep2.objective == pytest.approx(rep.objective, rel=1e-12)
+
+
+def _per_draw_distribution(design, competitor, model, prior, n_draws, seed, method="iid"):
+    """The efficiency distribution as a plain loop: one d_efficiency per kept draw."""
+    rng = rng_for(seed, STREAM_PRIOR)
+    fixed = isinstance(competitor, (ContinuousDesign, ExactDesign))
+    draws, effs, rejected = [], [], 0
+    while len(effs) < n_draws:
+        for th in _draw(prior, rng, n_draws - len(effs), method):
+            try:
+                ref = competitor if fixed else competitor(th)
+            except PreconditionError:
+                rejected += 1
+                continue
+            effs.append(d_efficiency(design, getattr(ref, "design", ref), model, th))
+            draws.append(th)
+    return np.array(draws), np.array(effs), rejected
+
+
+_TRIANGLE = ContinuousDesign(np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]]), np.full(3, 1 / 3))
+
+
+def _mixed_competitor(th):
+    """Rejects some draws; returns references of 3, 4 and 5 points, of every kind."""
+    region = _poisson_2d().region
+    if th[1] < 1.3:
+        raise PreconditionError("rejected for the test")
+    if th[1] < 2.0:
+        return russell_poisson_design(th, region)
+    if th[1] < 2.4:
+        return ExactDesign(np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0], [0.0, 0.0]]), [1, 2, 1, 3])
+    pts = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [0.0, 0.0]])
+    return ContinuousDesign(pts, np.array([0.3, 0.3, 0.2, 0.1, 0.1]))
+
+
+@pytest.mark.parametrize(
+    "competitor, n_draws, chunk",
+    [
+        (lambda th: russell_poisson_design(th, _poisson_2d().region).design, 200, 4096),
+        (lambda th: russell_poisson_design(th, _poisson_2d().region), 50, 4096),
+        (_mixed_competitor, 300, 4096),
+        (_mixed_competitor, 60, 7),
+        (ContinuousDesign(np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]]), [0.5, 0.25, 0.25]), 100, 4096),
+        (ExactDesign(np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]]), [2, 1, 1]), 4100, 4096),
+    ],
+    ids=[
+        "callable",
+        "theorem-design",
+        "mixed-with-rejections",
+        "mixed-with-rejections-many-chunks",
+        "fixed-continuous",
+        "fixed-exact-two-chunks",
+    ],
+)
+def test_efficiency_distribution_matches_a_per_draw_loop_bit_for_bit(
+    competitor, n_draws, chunk, monkeypatch
+):
+    monkeypatch.setattr(priors, "_EFF_CHUNK", chunk)
+    model = _poisson_2d()
+    prior = Prior.uniform_box([[0.0, 0.0], [1.0, 3.0], [-3.0, -1.0]])
+    dist = efficiency_distribution(_TRIANGLE, competitor, model, prior, n_draws=n_draws, seed=5)
+    draws, effs, rejected = _per_draw_distribution(_TRIANGLE, competitor, model, prior, n_draws, 5)
+    assert dist.draws.tobytes() == draws.tobytes()
+    assert dist.efficiencies.tobytes() == effs.tobytes()
+    assert dist.n_rejected == rejected
+    assert (rejected > 0) == (competitor is _mixed_competitor)
+
+
+def _gamma_power_1d():
+    return ModelSpec(
+        Family("gamma"), LinkFunction("power", 1.0), ModelBasis.first_order(1), DesignRegion.cube(0, 1, 1)
+    )
+
+
+def _singular_above(level):
+    def competitor(th):
+        if th[0] > level:  # one point for two parameters
+            return ContinuousDesign(np.array([[1.0]]), np.array([1.0]))
+        return ContinuousDesign(np.array([[0.5], [1.0]]), np.array([0.5, 0.5]))
+
+    return competitor
+
+
+@pytest.mark.parametrize(
+    "design, competitor, seed, error",
+    [
+        # draw 0: the design's point 0 leaves the domain (the CLI test's config)
+        ([0.0, 1.0], [0.5, 1.0], 7, LinkDomainError),
+        # draw 0: the reference's point 0 leaves the domain
+        ([0.5, 1.0], [0.0, 1.0], 7, LinkDomainError),
+        # draw 9: a singular reference, before any domain error
+        ([0.5, 1.0], _singular_above(0.3), 2, SingularDesignError),
+        # draw 7: a domain error, before any singular reference
+        ([0.5, 1.0], _singular_above(0.3), 13, LinkDomainError),
+        # draw 0: singular reference and inadmissible design; the reference comes first
+        ([0.0, 1.0], _singular_above(-0.2), 5, SingularDesignError),
+    ],
+)
+def test_efficiency_distribution_raises_the_first_failing_draws_error(
+    design, competitor, seed, error, monkeypatch
+):
+    model = _gamma_power_1d()
+    prior = Prior.uniform_box([[-0.5, 0.5], [0.5, 1.5]])
+    design = ContinuousDesign(np.array(design)[:, None], np.array([0.5, 0.5]))
+    if isinstance(competitor, list):
+        competitor = ContinuousDesign(np.array(competitor)[:, None], np.array([0.5, 0.5]))
+    with pytest.raises(error) as want:
+        _per_draw_distribution(design, competitor, model, prior, 200, seed)
+    for chunk in (4096, 3):
+        monkeypatch.setattr(priors, "_EFF_CHUNK", chunk)
+        with pytest.raises(error) as got:
+            efficiency_distribution(design, competitor, model, prior, n_draws=200, seed=seed)
+        assert str(got.value) == str(want.value)
