@@ -37,7 +37,7 @@ STREAM_ANNEAL = 37
 STREAM_LOWDISC = 41
 STREAM_EXCHANGE = 43
 
-_EFF_CHUNK = 4096  # draws per efficiency stack: bounds memory whatever n_draws is
+_EFF_CHUNK = 1024  # draws per efficiency stack: bounds memory whatever n_draws is
 
 
 def rng_for(master_seed: int, stream: int, *extras: int) -> np.random.Generator:
@@ -305,35 +305,36 @@ def efficiency_distribution(
     PreconditionError are rejected and replaced by fresh draws from the same
     stream; their count is reported.
 
-    The callable is called for every draw of a batch before the efficiencies,
-    which equal d_efficiency's bit for bit, are computed in stacks of 4096
-    draws; an error is d_efficiency's at its stack's first failing draw.
+    The callable is called for every draw of a chunk of 1024 draws before the
+    chunk's efficiencies, equal to d_efficiency's bit for bit, are computed as
+    stacks; an error is d_efficiency's at the chunk's first failing draw.
     """
     if prior.kind == "point":
         raise ValidationError("an efficiency distribution needs a non-degenerate prior")
     if n_draws < 1:
         raise ValidationError("n_draws must be at least 1")
     rng = rng_for(seed, STREAM_PRIOR)
-    kept_draws, refs, effs = [], [], []
+    kept_draws, effs = [], []
     n_rejected = 0
     budget = 1000 * n_draws
     while len(kept_draws) < n_draws:
         need = n_draws - len(kept_draws)
-        for th in _draw(prior, rng, need, method):
-            if isinstance(competitor, (ContinuousDesign,)) or hasattr(competitor, "reps"):
-                ref = competitor
-            else:
-                try:
-                    ref = competitor(th)
-                except PreconditionError:
-                    n_rejected += 1
-                    continue
-            kept_draws.append(th)
-            refs.append(getattr(ref, "design", ref))
-        for lo in range(0, len(refs), _EFF_CHUNK):
-            todo = kept_draws[len(effs) : len(effs) + _EFF_CHUNK]
-            effs += _efficiencies(design, refs[lo : lo + _EFF_CHUNK], model, todo)
-        refs.clear()
+        batch = _draw(prior, rng, need, method)
+        for lo in range(0, need, _EFF_CHUNK):
+            refs = []
+            for th in batch[lo : lo + _EFF_CHUNK]:
+                if isinstance(competitor, (ContinuousDesign,)) or hasattr(competitor, "reps"):
+                    ref = competitor
+                else:
+                    try:
+                        ref = competitor(th)
+                    except PreconditionError:
+                        n_rejected += 1
+                        continue
+                kept_draws.append(th)
+                refs.append(getattr(ref, "design", ref))
+            if refs:
+                effs += _efficiencies(design, refs, model, kept_draws[len(effs) :])
         budget -= need
         if budget <= 0:
             raise NumericalError("efficiency distribution rejected nearly every draw")

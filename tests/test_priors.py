@@ -227,12 +227,12 @@ def _mixed_competitor(th):
 @pytest.mark.parametrize(
     "competitor, n_draws, chunk",
     [
-        (lambda th: russell_poisson_design(th, _poisson_2d().region).design, 200, 4096),
-        (lambda th: russell_poisson_design(th, _poisson_2d().region), 50, 4096),
-        (_mixed_competitor, 300, 4096),
+        (lambda th: russell_poisson_design(th, _poisson_2d().region).design, 200, 1024),
+        (lambda th: russell_poisson_design(th, _poisson_2d().region), 50, 1024),
+        (_mixed_competitor, 300, 1024),
         (_mixed_competitor, 60, 7),
-        (ContinuousDesign(np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]]), [0.5, 0.25, 0.25]), 100, 4096),
-        (ExactDesign(np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]]), [2, 1, 1]), 4100, 4096),
+        (ContinuousDesign(np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]]), [0.5, 0.25, 0.25]), 100, 1024),
+        (ExactDesign(np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, 1.0]]), [2, 1, 1]), 1030, 1024),
     ],
     ids=[
         "callable",
@@ -297,7 +297,7 @@ def test_efficiency_distribution_raises_the_first_failing_draws_error(
         competitor = ContinuousDesign(np.array(competitor)[:, None], np.array([0.5, 0.5]))
     with pytest.raises(error) as want:
         _per_draw_distribution(design, competitor, model, prior, 200, seed)
-    for chunk in (4096, 3):
+    for chunk in (1024, 3):
         monkeypatch.setattr(priors, "_EFF_CHUNK", chunk)
         with pytest.raises(error) as got:
             efficiency_distribution(design, competitor, model, prior, n_draws=200, seed=seed)
