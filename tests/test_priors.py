@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from optdes.closed_form import russell_poisson_design
 from optdes import priors
+from optdes.closed_form import russell_poisson_design
 from optdes.designs import ContinuousDesign, ExactDesign, d_efficiency, design_objective
 from optdes.errors import (
     LinkDomainError,
@@ -14,9 +14,11 @@ from optdes.errors import (
 )
 from optdes.families import DesignRegion, Family, LinkFunction, ModelBasis, ModelSpec
 from optdes.priors import (
+    STREAM_PRIOR,
     EfficiencyDistribution,
     Prior,
     SampleSpec,
+    _draw,
     bayes_objective,
     efficiency_distribution,
     equivalence_check,
@@ -25,7 +27,6 @@ from optdes.priors import (
     rng_for,
     sample_prior,
 )
-from optdes.priors import STREAM_PRIOR, _draw
 
 
 def _poisson_2d():
